@@ -3,8 +3,9 @@
 Configs are strict JSON: unknown keys are hard errors so a misspelled budget
 or radius cannot silently fall back to a default.  All outputs are written
 atomically; reports are JSON lines plus a fixed-column CSV summary.  Exit
-codes: 0 success, 1 failed asserted checks, 2 configuration or usage errors,
-3 archive integrity errors.
+codes: 0 success, 1 failed asserted checks, 2 configuration or usage errors
+(a plan whose local solves exceed the memory budget among them), 3 archive
+integrity errors.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .decomposition import (
     save_archive,
 )
 from .reporting import NormReport, write_csv_summary, write_jsonl
+from .smoothing import MemoryBudgetError
 from .sensitivity import (
     DirectionalProbe,
     directional_derivative,
@@ -319,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryBudgetError as exc:
+        return _error("memory", str(exc), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,10 @@ orientations represent the same symmetric level operator; they differ by a
 source-independent background field, and the transposed orientation is the
 one whose far-field values are constant, which is the normalization the
 range checks measure.
+
+Every application takes an optional trailing batch axis, so many fields, or
+the unit sources of many kernel slices, share one block solve and one pass
+through the chains.
 """
 
 from __future__ import annotations
@@ -27,13 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeError, LatticeField, LatticeTorus
+from .lattice import LatticeError, LatticeField, LatticeTorus, column_blocks
 from .coefficients import export_table, import_table
 from .operators import DEFAULT_TOL, EllipticOperator, KernelColumn
 from .smoothing import AveragingOperator
 from . import tableio
 
 ARCHIVE_FORMAT = "frdkit-archive-v1"
+#: Cap on the bytes of one column block pushed through the level chains
+#: (kernel sources, probes, basis vectors); a block holds at least one column.
+BLOCK_BYTES = 16 << 20
 
 
 def default_cube_sides(L: int, N: int) -> tuple[int, ...]:
@@ -114,21 +121,40 @@ class Decomposition:
         if not 1 <= k <= self.plan.levels:
             raise LatticeError(f"level {k} out of range 1..{self.plan.levels}")
 
+    def _chains_raw(self, u: np.ndarray, wanted, transpose: bool = False) -> dict:
+        """Palindromic fluctuation sandwiches ``T_1…T_j T_j…T_1 u`` for j in wanted.
+
+        The forward halves ``F_j = T_j…T_1 u`` are computed once and shared,
+        so chains 0..n cost n(n+3)/2 fluctuation applications instead of
+        n(n+1).  ``transpose`` uses the transposed fluctuations throughout.
+        """
+        name = "fluctuation_transpose_raw" if transpose else "fluctuation_raw"
+        forward = [u]
+        for s in self.smoothers[:max(wanted)]:
+            forward.append(getattr(s, name)(forward[-1]))
+        chains = {}
+        for j in sorted(wanted):
+            v = forward[j]
+            for s in reversed(self.smoothers[:j]):
+                v = getattr(s, name)(v)
+            chains[j] = v
+        return chains
+
     def _chain_raw(self, j: int, solved: np.ndarray) -> np.ndarray:
         """Palindromic fluctuation sandwich applied to an already-solved field."""
-        u = solved
-        for s in self.smoothers[:j]:
-            u = s.fluctuation_raw(u)
-        for s in reversed(self.smoothers[:j]):
-            u = s.fluctuation_raw(u)
-        return u
+        return self._chains_raw(solved, {j})[j]
+
+    def _levels_raw(self, u: np.ndarray, levels, transpose: bool = False) -> list:
+        """Chain differences ``chain_{k-1} - chain_k`` (last level: ``chain_n``)."""
+        n = self.plan.depth
+        wanted = {j for k in levels for j in ((k - 1, k) if k <= n else (n,))}
+        chains = self._chains_raw(u, wanted, transpose)
+        return [chains[k - 1] - chains[k] if k <= n else chains[n] for k in levels]
 
     def apply_level_raw(self, k: int, flat: np.ndarray) -> np.ndarray:
         self._check_level(k)
         solved, _ = self.op.solve_green_raw(flat, self.plan.solver_tol)
-        if k <= self.plan.depth:
-            return self._chain_raw(k - 1, solved) - self._chain_raw(k, solved)
-        return self._chain_raw(self.plan.depth, solved)
+        return self._levels_raw(solved, (k,))[0]
 
     def apply_level(self, k: int, phi: LatticeField) -> LatticeField:
         """One level of the splitting applied to a mean-zero field."""
@@ -136,13 +162,16 @@ class Decomposition:
             raise LatticeError("field torus does not match operator torus")
         return LatticeField(self.op.torus, self.apply_level_raw(k, phi.values))
 
-    def apply_all_levels_raw(self, flat: np.ndarray) -> list[np.ndarray]:
-        """All levels from a single Green solve; sums exactly to the solve."""
-        solved, _ = self.op.solve_green_raw(flat, self.plan.solver_tol)
-        chains = [self._chain_raw(j, solved) for j in range(self.plan.depth + 1)]
-        out = [chains[j] - chains[j + 1] for j in range(self.plan.depth)]
-        out.append(chains[self.plan.depth])
-        return out
+    def apply_all_levels_raw(self, flat: np.ndarray, with_report: bool = False):
+        """All levels from a single Green solve; sums exactly to the solve.
+
+        A (sites, m, B) input is B independent fields: one block solve, and
+        each chain applied once to the whole block.  With ``with_report`` the
+        result is ``(levels, SolveReport)``.
+        """
+        solved, report = self.op.solve_green_raw(flat, self.plan.solver_tol)
+        levels = self._levels_raw(solved, range(1, self.plan.levels + 1))
+        return (levels, report) if with_report else levels
 
     def apply_all_levels(self, phi: LatticeField) -> list[LatticeField]:
         return [LatticeField(self.op.torus, v)
@@ -150,39 +179,44 @@ class Decomposition:
 
     # -- kernel slices ---------------------------------------------------------
 
-    def _chain_transpose_raw(self, j: int, flat: np.ndarray) -> np.ndarray:
-        u = flat
-        for s in self.smoothers[:j]:
-            u = s.fluctuation_transpose_raw(u)
-        for s in reversed(self.smoothers[:j]):
-            u = s.fluctuation_transpose_raw(u)
-        return u
+    def kernel_columns(self, sources, levels=None,
+                       tol: float | None = None) -> list[KernelColumn]:
+        """Kernel slices of the given levels (default all) at every source.
+
+        The unit sources of all sources and components form one column
+        block: the transposed chains run once over it, and the level
+        differences ``v_{k-1} - v_k`` of every (level, source, component) go
+        through one block Green solve.  Solving the differences, not the
+        chains, keeps solver error off the small deep levels.  The slices are
+        stored in ``kernels`` and returned level-major.
+        """
+        t = self.op.torus
+        levels = tuple(range(1, self.plan.levels + 1)) if levels is None else tuple(levels)
+        for k in levels:
+            self._check_level(k)
+        tol = self.plan.solver_tol if tol is None else tol
+        srcs = [int(x) if isinstance(x, (int, np.integer)) else t.index_of(x)
+                for x in sources]
+        delta = np.zeros((t.sites, t.m, len(srcs), t.m))
+        for i, s in enumerate(srcs):
+            delta[s, :, i, :] = np.eye(t.m)
+        vs = self._levels_raw(delta.reshape(t.sites, t.m, -1), levels, transpose=True)
+        rhs = np.stack(vs, axis=2).reshape(t.sites, t.m, -1)
+        sol, _ = self.op.solve_green_raw(rhs - rhs.mean(axis=0), tol)
+        sol = sol.reshape(t.sites, t.m, len(levels), len(srcs), t.m)
+        tag = self.op.coefficients.content_hash()[:12]
+        out = []
+        for ki, k in enumerate(levels):
+            for i, s in enumerate(srcs):
+                col = KernelColumn(t, s, np.ascontiguousarray(sol[:, :, ki, i]),
+                                   f"level:{k}:{tag}", tol)
+                self.kernels[(k, s)] = col
+                out.append(col)
+        return out
 
     def level_kernel_column(self, k: int, x0, tol: float | None = None) -> KernelColumn:
-        """Kernel slice of level k at one source site.
-
-        Computed as the Green solve of the transposed-chain difference applied
-        to the raw unit sources; one solve per component regardless of k.
-        """
-        self._check_level(k)
-        t = self.op.torus
-        tol = self.plan.solver_tol if tol is None else tol
-        source = x0 if isinstance(x0, (int, np.integer)) else t.index_of(x0)
-        cols = np.zeros((t.sites, t.m, t.m))
-        for a in range(t.m):
-            delta = np.zeros((t.sites, t.m))
-            delta[source, a] = 1.0
-            if k <= self.plan.depth:
-                v = (self._chain_transpose_raw(k - 1, delta)
-                     - self._chain_transpose_raw(k, delta))
-            else:
-                v = self._chain_transpose_raw(self.plan.depth, delta)
-            v = v - v.mean(axis=0)
-            cols[:, :, a], _ = self.op.solve_green_raw(v, tol)
-        tag = f"level:{k}:{self.op.coefficients.content_hash()[:12]}"
-        col = KernelColumn(t, int(source), cols, tag, tol)
-        self.kernels[(k, int(source))] = col
-        return col
+        """Kernel slice of level k at one source site (see ``kernel_columns``)."""
+        return self.kernel_columns([x0], (k,), tol)[0]
 
     def far_mask(self, k: int, source: int) -> np.ndarray:
         """Sites at or beyond the claimed range radius of level k (may be empty).
@@ -231,9 +265,9 @@ def build_decomposition(
     dec = Decomposition(op, plan)
     t = op.torus
     srcs = [s if isinstance(s, (int, np.integer)) else t.index_of(s) for s in sources]
-    for k in range(1, plan.levels + 1):
-        for s in srcs:
-            dec.level_kernel_column(k, s)
+    per_source = t.sites * t.m * t.m * plan.levels * 8
+    for block in column_blocks(len(srcs), per_source, BLOCK_BYTES):
+        dec.kernel_columns(srcs[block])
     dec.manifest = {
         "format": ARCHIVE_FORMAT,
         "torus": {"d": t.d, "m": t.m, "L": t.L, "N": t.N},

@@ -102,10 +102,22 @@ class MultiIndex:
         return sum(self.exponents)
 
 
-def mean_zero_tolerance(values: np.ndarray) -> float:
-    """Absolute tolerance on a component sum for a field to count as mean-zero."""
+def mean_zero_tolerance(values: np.ndarray):
+    """Absolute tolerance on a component sum for a field to count as mean-zero.
+
+    A (sites, m, B) block gets one tolerance per column.
+    """
     sites = values.shape[0]
-    return 1e-10 * float(np.linalg.norm(values)) * np.sqrt(sites)
+    return 1e-10 * np.sqrt(np.einsum("sm...,sm...->...", values, values)) * np.sqrt(sites)
+
+
+def column_blocks(count: int, column_bytes: int, budget: int) -> list[slice]:
+    """Consecutive slices of ``count`` columns, each within ``budget`` bytes.
+
+    A slice always holds at least one column.
+    """
+    step = max(1, budget // column_bytes)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -234,15 +246,18 @@ def grad_multi(phi: LatticeField, alpha: MultiIndex | tuple[int, ...]) -> Lattic
 
 
 def gradient_stack_raw(torus: LatticeTorus, flat: np.ndarray) -> np.ndarray:
-    """(sites, m, d) stack of forward differences along every axis."""
+    """(sites, m, d) stack of forward differences along every axis.
+
+    A trailing batch axis is kept last: (sites, m, B) gives (sites, m, d, B).
+    """
     return np.stack(
-        [forward_diff_raw(torus, flat, j) for j in range(torus.d)], axis=-1
+        [forward_diff_raw(torus, flat, j) for j in range(torus.d)], axis=2
     )
 
 
 def divergence_star_raw(torus: LatticeTorus, stack: np.ndarray) -> np.ndarray:
     """Adjoint divergence: sum of backward differences of the stack columns."""
-    out = np.zeros(stack.shape[:2])
+    out = np.zeros(stack.shape[:2] + stack.shape[3:])
     for j in range(torus.d):
         out += backward_diff_raw(torus, stack[:, :, j], j)
     return out

@@ -16,6 +16,7 @@ import numpy as np
 from .lattice import (
     LatticeField,
     LatticeTorus,
+    column_blocks,
     divergence_star_raw,
     gradient_stack_raw,
     mean_zero_tolerance,
@@ -25,6 +26,13 @@ from . import tableio
 
 DEFAULT_TOL = 1e-10
 ORACLE_SITE_LIMIT = 4096
+#: Bytes of one block vector in a block Green solve; columns beyond it go to
+#: further blocks, since a larger block falls out of cache.  Where fewer than
+#: ``_MIN_BLOCK_COLUMNS`` fit, columns are solved one by one: numpy's inner
+#: loops over a short trailing axis then cost more than the per-call
+#: overhead that a block saves.
+_SOLVE_BLOCK_BYTES = 1 << 20
+_MIN_BLOCK_COLUMNS = 16
 
 
 class TorusMismatchError(ValueError):
@@ -49,6 +57,8 @@ class OracleSizeError(ValueError):
 
 @dataclass(frozen=True)
 class SolveReport:
+    """PCG steps taken and the worst relative residual ||f - A u|| / ||f||."""
+
     iterations: int
     residual: float
     tol: float
@@ -103,7 +113,15 @@ class EllipticOperator:
     # -- raw array plumbing ------------------------------------------------
 
     def apply_raw(self, flat: np.ndarray) -> np.ndarray:
+        """Operator image of a (sites, m) field or of each column of (sites, m, B)."""
         t = self.torus
+        if flat.ndim == 3 and flat.shape[2] == 1:
+            return self.apply_raw(flat[..., 0])[..., None]
+        if flat.ndim == 3:
+            B = flat.shape[2]
+            G = gradient_stack_raw(t, flat).reshape(t.sites, t.m * t.d, B)
+            F = np.matmul(self.coefficients.values, G)
+            return divergence_star_raw(t, F.reshape(t.sites, t.m, t.d, B))
         G = gradient_stack_raw(t, flat).reshape(t.sites, t.m * t.d)
         F = np.einsum("spq,sq->sp", self.coefficients.values, G)
         return divergence_star_raw(t, F.reshape(t.sites, t.m, t.d))
@@ -152,48 +170,89 @@ class EllipticOperator:
 
         The right-hand side must already be mean-zero; the iterate has its
         mean removed every step so roundoff cannot drift into the kernel.
+        A (sites, m, B) right-hand side is B independent solves: every column
+        keeps its own step sizes, stopping test, mean-zero check and drift
+        guard, so it converges exactly as it would alone.  Columns run in
+        blocks of at most ``_SOLVE_BLOCK_BYTES`` per vector; the report
+        counts the block iterations summed over blocks and the worst relative
+        residual of any column.
         """
         t = self.torus
-        sums = np.abs(f.sum(axis=0))
-        if sums.max(initial=0.0) > max(mean_zero_tolerance(f), 1e-300):
+        block = f if f.ndim == 3 else f[..., None]
+        sums = np.abs(block.sum(axis=0))
+        limits = np.maximum(mean_zero_tolerance(block), 1e-300)
+        if (sums.max(axis=0, initial=0.0) > limits).any():
             raise MeanZeroError(f"right-hand side has component sums {sums}")
-        f = f - f.mean(axis=0)
-        nf = float(np.linalg.norm(f))
-        x = np.zeros_like(f)
-        if nf == 0.0:
-            return x, SolveReport(0, 0.0, tol)
         if max_iter is None:
             max_iter = max(1000, 40 * t.side * t.d)
-        Dinv = self.jacobi_blocks_inv()
-        r = f.copy()
-        z = np.einsum("sab,sb->sa", Dinv, r)
-        p = z.copy()
-        rz = float(np.vdot(r, z))
-        iterations = 0
-        for _ in range(max_iter):
-            Ap = self.apply_raw(p)
-            alpha = rz / float(np.vdot(p, Ap))
-            x += alpha * p
-            x -= x.mean(axis=0)
-            r -= alpha * Ap
-            iterations += 1
-            if float(np.linalg.norm(r)) <= tol * nf:
-                r = f - self.apply_raw(x)  # guard against residual drift
-                if float(np.linalg.norm(r)) <= tol * nf:
-                    break
-            z = np.einsum("sab,sb->sa", Dinv, r)
-            rz_new = float(np.vdot(r, z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        residual = float(np.linalg.norm(f - self.apply_raw(x)))
-        report = SolveReport(iterations, residual, tol)
-        if residual > tol * nf:
+        x = np.zeros(block.shape)
+        column_bytes = t.sites * t.m * 8
+        budget = (_SOLVE_BLOCK_BYTES
+                  if _SOLVE_BLOCK_BYTES >= _MIN_BLOCK_COLUMNS * column_bytes else 0)
+        iterations, worst = 0, 0.0
+        for cols in column_blocks(block.shape[2], column_bytes, budget):
+            its, rel = self._pcg(block[..., cols], x[..., cols], tol, max_iter)
+            iterations += its
+            worst = max(worst, float(rel.max()))
+        report = SolveReport(iterations, worst, tol)
+        if worst > tol:
             raise ConvergenceError(
                 f"no convergence after {iterations} iterations "
-                f"(relative residual {residual / nf:.3e})",
+                f"(relative residual {worst:.3e})",
                 report,
             )
-        return x, report
+        return (x if f.ndim == 3 else x[..., 0]), report
+
+    def _pcg(self, f: np.ndarray, out: np.ndarray, tol: float,
+             max_iter: int) -> tuple[int, np.ndarray]:
+        """Block PCG on (sites, m, b) into ``out``; returns steps and relative residuals.
+
+        Converged columns leave the working block, so later steps only apply
+        the operator to the columns still running.
+        """
+        f = f - f.mean(axis=0)
+        nf = _column_norms(f)
+        rel = np.zeros(nf.shape)
+        act = np.flatnonzero(nf > 0.0)
+        if not act.size:
+            return 0, rel
+        Dinv = self.jacobi_blocks_inv()
+        fa, nfa = f[..., act], nf[act]
+        xa = np.zeros(fa.shape)
+        r = fa.copy()
+        z = _precondition(Dinv, r)
+        p = z.copy()
+        rz = _column_dots(r, z)
+        iterations = 0
+        while iterations < max_iter:
+            Ap = self.apply_raw(p)
+            alpha = rz / _column_dots(p, Ap)
+            xa += alpha * p
+            xa -= xa.mean(axis=0)
+            r -= alpha * Ap
+            iterations += 1
+            sel = np.flatnonzero(_column_norms(r) <= tol * nfa)
+            if sel.size:
+                # guard against residual drift
+                r[..., sel] = fa[..., sel] - self.apply_raw(xa[..., sel])
+                rn = _column_norms(r[..., sel])
+                ok = rn <= tol * nfa[sel]
+                done = sel[ok]
+                if done.size:
+                    out[..., act[done]] = xa[..., done]
+                    rel[act[done]] = rn[ok] / nfa[done]
+                    keep = np.setdiff1d(np.arange(act.size), done)
+                    if not keep.size:
+                        return iterations, rel
+                    act, fa, nfa, rz = act[keep], fa[..., keep], nfa[keep], rz[keep]
+                    xa, r, p = xa[..., keep], r[..., keep], p[..., keep]
+            z = _precondition(Dinv, r)
+            rz_new = _column_dots(r, z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+        out[..., act] = xa
+        rel[act] = _column_norms(fa - self.apply_raw(xa)) / nfa
+        return iterations, rel
 
     def solve_green(
         self, f: LatticeField, tol: float = DEFAULT_TOL
@@ -211,14 +270,29 @@ class EllipticOperator:
         """
         t = self.torus
         source = x0 if isinstance(x0, (int, np.integer)) else t.index_of(x0)
-        cols = np.zeros((t.sites, t.m, t.m))
-        for a in range(t.m):
-            rhs = np.zeros((t.sites, t.m))
-            rhs[source, a] = 1.0
-            rhs -= rhs.mean(axis=0)
-            cols[:, :, a], _ = self.solve_green_raw(rhs, tol)
+        rhs = np.zeros((t.sites, t.m, t.m))
+        rhs[source] = np.eye(t.m)
+        cols, _ = self.solve_green_raw(rhs - rhs.mean(axis=0), tol)
         tag = f"green:{self.coefficients.content_hash()[:12]}"
         return KernelColumn(t, int(source), cols, tag, tol)
+
+
+def _column_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-column inner products of two (sites, m, B) blocks."""
+    if u.shape[2] == 1:
+        return np.array([np.vdot(u, v)])
+    return np.einsum("smb,smb->b", u, v)
+
+
+def _column_norms(u: np.ndarray) -> np.ndarray:
+    return np.sqrt(_column_dots(u, u))
+
+
+def _precondition(Dinv: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Block-Jacobi step on every column; with m = 1 a broadcast product."""
+    if Dinv.shape[1] == 1:
+        return Dinv * r
+    return np.einsum("sab,sbc->sac", Dinv, r)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .lattice import (
     LatticeError,
     LatticeField,
     LatticeTorus,
+    column_blocks,
     cube_offsets,
     cube_sites,
 )
@@ -28,8 +29,18 @@ from .operators import EllipticOperator
 
 #: Cap on cached batched local inverses (float64 entries, ~400 MB).
 _CACHE_ENTRY_BUDGET = 5e7
+#: Cap on one chunk of reassembled local matrices (bytes); a smoother that
+#: would need more is refused when it is built, before any solve runs.
+_CHUNK_BYTE_BUDGET = 1 << 30
+#: Cap on the right-hand sides gathered for one column block (bytes); a block
+#: always holds at least one column.
+_GATHER_BYTE_BUDGET = 64 << 20
 #: Translate chunk for assemble-and-solve when the cache would be too large.
 _CHUNK = 2048
+
+
+class MemoryBudgetError(MemoryError):
+    """A smoother's local solves would exceed a fixed byte budget."""
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,25 @@ def _whole_torus_project_raw(flat: np.ndarray) -> np.ndarray:
     # Degenerate cube covering the torus: the Galerkin conditions pin the
     # field modulo constants only, resolved by the mean-zero representative.
     return flat - flat.mean(axis=0)
+
+
+def _scatter_add(idx: np.ndarray, sol: np.ndarray, sites: int) -> np.ndarray:
+    """Sum (b, T, nloc*m) local solutions into (sites, m, b) at ``idx``.
+
+    ``np.bincount`` adds in the order of ``idx.ravel()``, as ``np.add.at``
+    does, so the sums are the same bit for bit, at a fraction of the cost.
+    """
+    b, T, n = sol.shape
+    nloc = idx.shape[1]
+    m = n // nloc
+    out = np.empty((sites, m, b))
+    flat_idx = idx.ravel()
+    for j in range(b):
+        values = sol[j].reshape(T * nloc, m)
+        for a in range(m):
+            out[:, a, j] = np.bincount(flat_idx, np.ascontiguousarray(values[:, a]),
+                                       minlength=sites)
+    return out
 
 
 class CubeProjector:
@@ -200,6 +230,15 @@ class AveragingOperator:
             nloc = side_length ** t.d * t.m
             self._cacheable = t.sites * nloc * nloc <= _CACHE_ENTRY_BUDGET
             self._constant_coeff = op.coefficients.is_constant()
+            if not (self._cacheable or self._constant_coeff):
+                translates = min(chunk, t.sites)
+                chunk_bytes = translates * nloc * nloc * 8
+                if chunk_bytes > _CHUNK_BYTE_BUDGET:
+                    raise MemoryBudgetError(
+                        f"cube side {side_length}: one chunk of {translates} "
+                        f"local {nloc}x{nloc} matrices needs "
+                        f"{chunk_bytes / 2**30:.2f} GiB, above the "
+                        f"{_CHUNK_BYTE_BUDGET / 2**30:.2f} GiB budget")
 
     def _ensure_cache(self) -> None:
         if self._inv is not None or self.whole_torus:
@@ -218,30 +257,39 @@ class AveragingOperator:
             self._idx = _translate_site_indices(t, self.side_length, anchors)
 
     def _solve_all_translates(self, flat: np.ndarray) -> np.ndarray:
-        """Gather `flat` on every translate, solve locally, scatter-average."""
+        """Gather `flat` on every translate, solve locally, scatter-average.
+
+        The columns of a (sites, m, B) input go through in blocks whose
+        gathered right-hand sides fit ``_GATHER_BYTE_BUDGET``.
+        """
         t = self.op.torus
         self._ensure_cache()
-        out = np.zeros_like(flat)
+        cols = flat if flat.ndim == 3 else flat[..., None]
         idx = self._idx
-        nloc = idx.shape[1]
+        T, nloc = idx.shape
+        n = nloc * t.m
+        out = np.empty(cols.shape)
+        for block in column_blocks(cols.shape[2], T * n * 8, _GATHER_BYTE_BUDGET):
+            rhs = np.moveaxis(cols[..., block], 2, 0)[:, idx].reshape(-1, T, n)
+            out[..., block] = _scatter_add(idx, self._local_solves(rhs), t.sites)
+        out *= self._weight
+        return out if flat.ndim == 3 else out[..., 0]
+
+    def _local_solves(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve every translate's local system for a (b, T, n) block of columns."""
         if self._constant_coeff:
-            rhs = flat[idx].reshape(idx.shape[0], nloc * t.m)
-            sol = rhs @ self._inv.T
-            np.add.at(out, idx.ravel(), sol.reshape(-1, t.m))
-            return out * self._weight
-        for start in range(0, idx.shape[0], self.chunk):
-            sl = slice(start, min(start + self.chunk, idx.shape[0]))
-            rhs = flat[idx[sl]].reshape(idx[sl].shape[0], nloc * t.m)
-            if self._inv is not None:
-                sol = np.einsum("tij,tj->ti", self._inv[sl], rhs)
-            else:
-                M, _ = _local_matrices(self.op, self.side_length,
-                                       np.arange(sl.start, sl.stop, dtype=np.int64))
-                # explicit trailing axis: stacked-vector solve semantics
-                # differ between numpy 1.x and 2.x
-                sol = np.linalg.solve(M, rhs[..., None])[..., 0]
-            np.add.at(out, idx[sl].ravel(), sol.reshape(-1, t.m))
-        return out * self._weight
+            return (rhs.reshape(-1, rhs.shape[2]) @ self._inv.T).reshape(rhs.shape)
+        if self._inv is not None:
+            return np.matmul(self._inv, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
+        sol = np.empty_like(rhs)
+        T = rhs.shape[1]
+        for start in range(0, T, self.chunk):
+            sl = slice(start, min(start + self.chunk, T))
+            M, _ = _local_matrices(self.op, self.side_length,
+                                   np.arange(sl.start, sl.stop, dtype=np.int64))
+            sol[:, sl] = np.linalg.solve(
+                M, rhs[:, sl].transpose(1, 2, 0)).transpose(2, 0, 1)
+        return sol
 
     # -- raw operations ------------------------------------------------------
 
@@ -252,6 +300,7 @@ class AveragingOperator:
         return self._solve_all_translates(flat)
 
     def smooth_raw(self, flat: np.ndarray) -> np.ndarray:
+        """Averaged projection of a (sites, m) field or of each column of (sites, m, B)."""
         if self.whole_torus:
             return _whole_torus_project_raw(flat)
         return self._solve_all_translates(self.op.apply_raw(flat))

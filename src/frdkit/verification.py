@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decomposition import Decomposition
+from .decomposition import BLOCK_BYTES, Decomposition
+from .lattice import column_blocks
 from .operators import mean_projector, ORACLE_SITE_LIMIT
 from .reporting import NormReport
 from . import calibration, regularity
@@ -47,25 +48,40 @@ def range_suite(dec: Decomposition, slack_factor: float | None = None) -> list[N
     return records
 
 
+def _probe_block(t, n_probes: int, seed: int) -> np.ndarray:
+    """(sites, m, n_probes) mean-zero Gaussian probes, drawn probe by probe."""
+    rng = np.random.default_rng(seed)
+    probes = rng.standard_normal((n_probes, t.sites, t.m))
+    probes -= probes.mean(axis=1, keepdims=True)
+    return np.moveaxis(probes, 0, -1)
+
+
+def _solve_extra(reports) -> dict:
+    """Deterministic solver counters of a suite's block solves."""
+    return {"solve_iterations": sum(r.iterations for r in reports),
+            "solve_residual": max((r.residual for r in reports), default=0.0)}
+
+
 def reconstruction_suite(dec: Decomposition, n_probes: int = 50,
                          seed: int = 0, rtol: float = RECONSTRUCTION_RTOL) -> list[NormReport]:
     """Sum of all levels against one Green solve on random mean-zero fields."""
     t = dec.op.torus
-    rng = np.random.default_rng(seed)
+    phi = _probe_block(t, n_probes, seed)
     worst = 0.0
-    for _ in range(n_probes):
-        phi = rng.standard_normal((t.sites, t.m))
-        phi -= phi.mean(axis=0)
-        total = sum(dec.apply_all_levels_raw(phi))
-        ref, _ = dec.op.solve_green_raw(phi, dec.plan.solver_tol)
-        worst = max(worst, float(np.linalg.norm(total - ref) / np.linalg.norm(ref)))
+    reports = []
+    for block in column_blocks(n_probes, t.sites * t.m * 8, BLOCK_BYTES):
+        levels, rep = dec.apply_all_levels_raw(phi[..., block], with_report=True)
+        ref, ref_rep = dec.op.solve_green_raw(phi[..., block], dec.plan.solver_tol)
+        reports += [rep, ref_rep]
+        err = np.linalg.norm(sum(levels) - ref, axis=(0, 1)) / np.linalg.norm(ref, axis=(0, 1))
+        worst = max(worst, float(err.max()))
     return [NormReport(
         check="reconstruction",
         params={"probes": n_probes, "seed": seed},
         lhs=worst,
         rhs=rtol,
         constant=1.0,
-        extra={"levels": dec.plan.levels},
+        extra={"levels": dec.plan.levels, **_solve_extra(reports)},
     )]
 
 
@@ -73,15 +89,19 @@ def positivity_suite(dec: Decomposition, n_probes: int = DEFAULT_PROBES,
                      seed: int = 1, slack: float = POSITIVITY_SLACK) -> list[NormReport]:
     """Rayleigh quotients on random probes; dense smallest eigenvalue when small."""
     t = dec.op.torus
-    rng = np.random.default_rng(seed)
+    phi = _probe_block(t, n_probes, seed)
     records = []
     worst = {k: 0.0 for k in range(1, dec.plan.levels + 1)}
-    for _ in range(n_probes):
-        phi = rng.standard_normal((t.sites, t.m))
-        phi -= phi.mean(axis=0)
-        nn = float(np.vdot(phi, phi))
-        for k, level in enumerate(dec.apply_all_levels_raw(phi), start=1):
-            worst[k] = min(worst[k], float(np.vdot(level, phi)) / nn)
+    reports = []
+    for block in column_blocks(n_probes, t.sites * t.m * 8, BLOCK_BYTES):
+        probes = phi[..., block]
+        levels, rep = dec.apply_all_levels_raw(probes, with_report=True)
+        reports.append(rep)
+        nn = np.einsum("smb,smb->b", probes, probes)
+        for k, level in enumerate(levels, start=1):
+            quotients = np.einsum("smb,smb->b", level, probes) / nn
+            worst[k] = min(worst[k], float(quotients.min()))
+    solve = _solve_extra(reports)
     for k in range(1, dec.plan.levels + 1):
         records.append(NormReport(
             check="positivity_rayleigh",
@@ -89,10 +109,11 @@ def positivity_suite(dec: Decomposition, n_probes: int = DEFAULT_PROBES,
             lhs=-worst[k] if worst[k] < 0 else 0.0,
             rhs=slack,
             constant=1.0,
-            extra={"min_rayleigh": worst[k]},
+            extra={"min_rayleigh": worst[k], **solve},
         ))
     if t.sites * t.m <= ORACLE_SITE_LIMIT:
-        for k, mat in enumerate(dense_level_matrices(dec), start=1):
+        mats, dense_solve = dense_level_matrices(dec, with_report=True)
+        for k, mat in enumerate(mats, start=1):
             eig = float(np.linalg.eigvalsh(mat)[0])
             records.append(NormReport(
                 check="positivity_dense_eig",
@@ -100,31 +121,37 @@ def positivity_suite(dec: Decomposition, n_probes: int = DEFAULT_PROBES,
                 lhs=-eig if eig < 0 else 0.0,
                 rhs=slack,
                 constant=1.0,
-                extra={"min_eigenvalue": eig},
+                extra={"min_eigenvalue": eig, **dense_solve},
             ))
     return records
 
 
-def dense_level_matrices(dec: Decomposition) -> list[np.ndarray]:
+def dense_level_matrices(dec: Decomposition, with_report: bool = False):
     """Dense symmetric level operators on the mean-zero subspace.
 
-    Built by applying every level to the projected basis; the mean-projected
-    symmetrization removes the constant-field dressing that the kernel slices
-    carry, which is irrelevant on mean-zero fields.
+    Built by applying every level to the projected basis, in column blocks;
+    the mean-projected symmetrization removes the constant-field dressing
+    that the kernel slices carry, which is irrelevant on mean-zero fields.
+    With ``with_report`` the solver counters come back too.
     """
     t = dec.op.torus
     n = t.sites * t.m
     if n > ORACLE_SITE_LIMIT:
         raise ValueError(f"dense level assembly limited to {ORACLE_SITE_LIMIT}")
     mats = [np.zeros((n, n)) for _ in range(dec.plan.levels)]
-    for j in range(n):
-        e = np.zeros((t.sites, t.m))
-        e[j // t.m, j % t.m] = 1.0
-        e -= e.mean(axis=0)
-        for k, level in enumerate(dec.apply_all_levels_raw(e)):
-            mats[k][:, j] = level.reshape(n)
+    reports = []
+    for block in column_blocks(n, n * 8, BLOCK_BYTES):
+        width = block.stop - block.start
+        e = np.zeros((n, width))
+        e[block] = np.eye(width)
+        e = e.reshape(t.sites, t.m, width)
+        levels, rep = dec.apply_all_levels_raw(e - e.mean(axis=0), with_report=True)
+        reports.append(rep)
+        for k, level in enumerate(levels):
+            mats[k][:, block] = level.reshape(n, width)
     P = mean_projector(t)
-    return [P @ (0.5 * (M + M.T)) @ P for M in mats]
+    mats = [P @ (0.5 * (M + M.T)) @ P for M in mats]
+    return (mats, _solve_extra(reports)) if with_report else mats
 
 
 def decay_suite(dec: Decomposition, alpha_orders=(0, 1),
