@@ -179,8 +179,8 @@ class Decomposition:
 
     # -- kernel slices ---------------------------------------------------------
 
-    def kernel_columns(self, sources, levels=None,
-                       tol: float | None = None) -> list[KernelColumn]:
+    def kernel_columns(self, sources, levels=None, tol: float | None = None,
+                       with_report: bool = False):
         """Kernel slices of the given levels (default all) at every source.
 
         The unit sources of all sources and components form one column
@@ -188,7 +188,8 @@ class Decomposition:
         differences ``v_{k-1} - v_k`` of every (level, source, component) go
         through one block Green solve.  Solving the differences, not the
         chains, keeps solver error off the small deep levels.  The slices are
-        stored in ``kernels`` and returned level-major.
+        stored in ``kernels`` and returned level-major; with ``with_report``
+        the result is ``(slices, SolveReport)``.
         """
         t = self.op.torus
         levels = tuple(range(1, self.plan.levels + 1)) if levels is None else tuple(levels)
@@ -202,7 +203,7 @@ class Decomposition:
             delta[s, :, i, :] = np.eye(t.m)
         vs = self._levels_raw(delta.reshape(t.sites, t.m, -1), levels, transpose=True)
         rhs = np.stack(vs, axis=2).reshape(t.sites, t.m, -1)
-        sol, _ = self.op.solve_green_raw(rhs - rhs.mean(axis=0), tol)
+        sol, report = self.op.solve_green_raw(rhs - rhs.mean(axis=0), tol)
         sol = sol.reshape(t.sites, t.m, len(levels), len(srcs), t.m)
         tag = self.op.coefficients.content_hash()[:12]
         out = []
@@ -212,7 +213,7 @@ class Decomposition:
                                    f"level:{k}:{tag}", tol)
                 self.kernels[(k, s)] = col
                 out.append(col)
-        return out
+        return (out, report) if with_report else out
 
     def level_kernel_column(self, k: int, x0, tol: float | None = None) -> KernelColumn:
         """Kernel slice of level k at one source site (see ``kernel_columns``)."""
@@ -260,14 +261,22 @@ def build_decomposition(
     sources=(),
     threads: int | None = None,
 ) -> Decomposition:
-    """Materialize kernel slices for the requested sources at every level."""
+    """Materialize kernel slices for the requested sources at every level.
+
+    The manifest's ``solver`` entry holds the block iterations summed over
+    the kernel solves and their worst relative residual; both are
+    deterministic, so archives stay byte-reproducible.
+    """
     plan = DecompositionPlan.default(op.torus) if plan is None else plan
     dec = Decomposition(op, plan)
     t = op.torus
     srcs = [s if isinstance(s, (int, np.integer)) else t.index_of(s) for s in sources]
     per_source = t.sites * t.m * t.m * plan.levels * 8
+    iterations, residual = 0, 0.0
     for block in column_blocks(len(srcs), per_source, BLOCK_BYTES):
-        dec.kernel_columns(srcs[block])
+        _, report = dec.kernel_columns(srcs[block], with_report=True)
+        iterations += report.iterations
+        residual = max(residual, report.residual)
     dec.manifest = {
         "format": ARCHIVE_FORMAT,
         "torus": {"d": t.d, "m": t.m, "L": t.L, "N": t.N},
@@ -275,6 +284,7 @@ def build_decomposition(
         "levels": plan.levels,
         "sources": [int(s) for s in srcs],
         "coefficient_hash": op.coefficients.content_hash(),
+        "solver": {"iterations": iterations, "residual": residual},
         "threads": threads,
         "created": _timestamp(),
     }
@@ -309,8 +319,55 @@ def save_archive(dec: Decomposition, directory: Path | str) -> Path:
     return directory
 
 
+#: Manifest fields every archive must carry, with their JSON types.
+_MANIFEST_FIELDS = {
+    "format": str,
+    "torus": dict,
+    "plan": dict,
+    "levels": int,
+    "sources": list,
+    "coefficient_hash": str,
+    "kernels": dict,
+}
+
+
+def _check_manifest(manifest) -> None:
+    if not isinstance(manifest, dict):
+        raise tableio.IntegrityError("manifest is not a JSON object")
+    for key, kind in _MANIFEST_FIELDS.items():
+        value = manifest.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise tableio.IntegrityError(
+                f"manifest field {key!r} is missing or not of type {kind.__name__}"
+            )
+    if manifest["format"] != ARCHIVE_FORMAT:
+        raise tableio.IntegrityError(
+            f"unsupported archive format {manifest['format']!r}"
+        )
+
+
+def _kernel_entry(key: str, entry) -> tuple[int, int, str, str]:
+    """Level, source, stem and hash of one manifest kernel entry."""
+    try:
+        k, s = (int(v) for v in key.split(":"))
+        stem, sha = entry["stem"], entry["sha256"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise tableio.IntegrityError(f"malformed kernel entry {key!r}") from exc
+    if not (isinstance(stem, str) and isinstance(sha, str)):
+        raise tableio.IntegrityError(f"malformed kernel entry {key!r}")
+    if stem in ("", ".", "..") or "/" in stem or "\\" in stem:
+        raise tableio.IntegrityError(f"kernel stem {stem!r} is not a plain file name")
+    return k, s, stem, sha
+
+
 def load_archive(directory: Path | str) -> Decomposition:
-    """Reload an archive, verifying every table hash."""
+    """Reload an archive, verifying the manifest and every table against it.
+
+    Each table must match its own header and the hash the manifest recorded
+    for it; each kernel's torus, source and provenance must match its
+    manifest key and the archived coefficients.  Any mismatch, or a manifest
+    field missing or of the wrong type, raises ``IntegrityError``.
+    """
     import json
 
     directory = Path(directory)
@@ -318,18 +375,36 @@ def load_archive(directory: Path | str) -> Decomposition:
         manifest = json.loads((directory / "manifest.json").read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise tableio.IntegrityError(f"unreadable manifest: {exc}") from exc
-    if manifest.get("format") != ARCHIVE_FORMAT:
-        raise tableio.IntegrityError(
-            f"unsupported archive format {manifest.get('format')!r}"
-        )
-    coeff = import_table(directory / "coefficients")
+    _check_manifest(manifest)
+    try:
+        torus = LatticeTorus(**{a: int(manifest["torus"][a]) for a in "dmLN"})
+        plan = DecompositionPlan.from_json(manifest["plan"])
+        plan.validate_for(torus)
+        coeff = import_table(directory / "coefficients")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise tableio.IntegrityError(f"malformed archive: {exc}") from exc
+    if coeff.torus != torus:
+        raise tableio.IntegrityError("coefficient table torus does not match manifest")
     if coeff.content_hash() != manifest["coefficient_hash"]:
         raise tableio.IntegrityError("coefficient table does not match manifest")
+    if manifest["levels"] != plan.levels:
+        raise tableio.IntegrityError(
+            f"manifest has {manifest['levels']} levels, its plan {plan.levels}"
+        )
     op = EllipticOperator(coeff)
-    dec = Decomposition(op, DecompositionPlan.from_json(manifest["plan"]))
+    dec = Decomposition(op, plan)
     dec.manifest = manifest
-    for key, entry in manifest.get("kernels", {}).items():
-        k, s = (int(v) for v in key.split(":"))
-        col = KernelColumn.import_table(directory / entry["stem"])
+    tag = manifest["coefficient_hash"][:12]
+    for key, entry in manifest["kernels"].items():
+        k, s, stem, sha = _kernel_entry(key, entry)
+        try:
+            col = KernelColumn.import_table(directory / stem, sha)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise tableio.IntegrityError(f"malformed kernel table {stem}: {exc}") from exc
+        if (not 1 <= k <= plan.levels or col.torus != torus or col.source != s
+                or col.provenance != f"level:{k}:{tag}"):
+            raise tableio.IntegrityError(
+                f"kernel table {stem} does not match manifest entry {key!r}"
+            )
         dec.kernels[(k, s)] = col
     return dec

@@ -57,13 +57,20 @@ def _all_anchor_indices(torus: LatticeTorus) -> np.ndarray:
 
 def _translate_site_indices(torus: LatticeTorus, side_length: int,
                             anchors: np.ndarray) -> np.ndarray:
-    """(len(anchors), side_length^d) global site index per translate."""
+    """(len(anchors), side_length^d) global site index per translate.
+
+    Accumulated one axis at a time in place, so the peak is two (T, n) index
+    arrays: at cube side 9 on a side-27 d = 3 torus each is 110 MB.
+    """
     coords = torus.all_coords()[anchors]  # (T, d)
     offs = cube_offsets(torus.d, side_length)  # (n, d)
-    pos = (coords[:, None, :] + offs[None, :, :]) % torus.side
-    lin = np.zeros(pos.shape[:2], dtype=np.int64)
+    lin = np.zeros((coords.shape[0], offs.shape[0]), dtype=np.int64)
+    axis_pos = np.empty_like(lin)
     for j in range(torus.d):
-        lin = lin * torus.side + pos[:, :, j]
+        np.add(coords[:, j, None], offs[None, :, j], out=axis_pos)
+        axis_pos %= torus.side
+        lin *= torus.side
+        lin += axis_pos
     return lin
 
 

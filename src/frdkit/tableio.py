@@ -71,8 +71,13 @@ def write_table(stem: Path | str, array: np.ndarray, meta: dict | None = None) -
     return header
 
 
-def read_table(stem: Path | str) -> tuple[np.ndarray, dict]:
-    """Load and verify a table; raises IntegrityError on any mismatch."""
+def read_table(stem: Path | str, sha256: str | None = None) -> tuple[np.ndarray, dict]:
+    """Load and verify a table; raises IntegrityError on any mismatch.
+
+    With ``sha256`` the header's content hash must also equal it, so a table
+    rewritten consistently with its own header is still caught against a hash
+    recorded elsewhere.
+    """
     stem = Path(stem)
     try:
         header = json.loads(stem.with_suffix(".json").read_text())
@@ -86,6 +91,8 @@ def read_table(stem: Path | str) -> tuple[np.ndarray, dict]:
         raise IntegrityError(f"unsupported table encoding in {stem}.json")
     if _sha256(raw) != header.get("sha256"):
         raise IntegrityError(f"content hash mismatch for {stem}.bin")
+    if sha256 is not None and header.get("sha256") != sha256:
+        raise IntegrityError(f"{stem}.bin does not match its recorded hash")
     shape = tuple(header.get("shape", ()))
     expected = int(np.prod(shape)) * 8 if shape else 0
     if len(raw) != expected:

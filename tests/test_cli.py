@@ -158,6 +158,81 @@ class TestVerify:
         assert not asserted  # single ranged level: report-only
 
 
+def tampered_copy(archive, tmp_path):
+    import shutil
+    broken = tmp_path / "tampered"
+    shutil.copytree(archive, broken)
+    return broken
+
+
+def edit_manifest(path, edit):
+    manifest = json.loads((path / "manifest.json").read_text())
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def assert_integrity_exit(path, capsys):
+    assert main(["verify", str(path), "--suite", "range"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "integrity"
+
+
+class TestArchiveIntegrity:
+    def test_consistent_kernel_rewrite_exits_3(self, archive, tmp_path, capsys):
+        # a kernel table rewritten to a constant, with a header that matches
+        # its new bytes, still differs from the hash in the manifest
+        from frdkit.tableio import read_table, write_table
+        broken = tampered_copy(archive, tmp_path)
+        values, header = read_table(broken / "kernel_L1_S0")
+        write_table(broken / "kernel_L1_S0", np.full_like(values, 0.25),
+                    header["meta"])
+        read_table(broken / "kernel_L1_S0")  # consistent on its own
+        assert_integrity_exit(broken, capsys)
+
+    def test_kernel_under_wrong_key_exits_3(self, archive, tmp_path, capsys):
+        # the level-2 table, with its true hash, filed under level 1
+        broken = tampered_copy(archive, tmp_path)
+        edit_manifest(broken, lambda m: m["kernels"].update(
+            {"1:0": m["kernels"]["2:0"]}))
+        assert_integrity_exit(broken, capsys)
+
+    @pytest.mark.parametrize("stem", ["../outside/kernel_L1_S0", "sub/kernel_L1_S0"])
+    def test_stem_with_path_exits_3(self, archive, tmp_path, capsys, stem):
+        # a genuine copy of the table sits where the stem points
+        import shutil
+        broken = tampered_copy(archive, tmp_path)
+        (broken / stem).parent.mkdir()
+        for suffix in (".bin", ".json"):
+            shutil.copy(broken / f"kernel_L1_S0{suffix}", broken / f"{stem}{suffix}")
+        edit_manifest(broken, lambda m: m["kernels"]["1:0"].update(stem=stem))
+        assert_integrity_exit(broken, capsys)
+
+    @pytest.mark.parametrize("field", ["format", "torus", "plan", "levels",
+                                       "sources", "coefficient_hash", "kernels"])
+    @pytest.mark.parametrize("how", ["missing", "wrong type"])
+    def test_manifest_schema_exits_3(self, archive, tmp_path, capsys, field, how):
+        broken = tampered_copy(archive, tmp_path)
+
+        def edit(m):
+            if how == "missing":
+                del m[field]
+            else:
+                m[field] = True if isinstance(m[field], str) else "x"
+        edit_manifest(broken, edit)
+        assert_integrity_exit(broken, capsys)
+
+    def test_manifest_torus_mismatch_exits_3(self, archive, tmp_path, capsys):
+        broken = tampered_copy(archive, tmp_path)
+        edit_manifest(broken, lambda m: m["torus"].update(N=1))
+        assert_integrity_exit(broken, capsys)
+
+    def test_manifest_records_solver(self, archive):
+        manifest = json.loads((archive / "manifest.json").read_text())
+        solver = manifest["solver"]
+        assert isinstance(solver["iterations"], int) and solver["iterations"] > 0
+        assert 0.0 < solver["residual"] <= manifest["plan"]["solver_tol"]
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as err:
         main(["--help"])

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frdkit import (
+    CoefficientField,
     ConvergenceError,
+    EllipticOperator,
     LatticeField,
     LatticeTorus,
     MeanZeroError,
@@ -138,6 +140,67 @@ class TestSolve:
             op_d2_pert.solve_green_raw(f.values, tol=1e-10, max_iter=2)
         assert err.value.report.iterations == 2
         assert err.value.report.residual > 0
+
+
+def random_spd(rng, count, md, contrast):
+    """``count`` symmetric matrices with eigenvalues spread over [1, contrast]."""
+    Q, _ = np.linalg.qr(rng.standard_normal((count, md, md)))
+    w = np.exp(rng.uniform(0.0, np.log(contrast), size=(count, md)))
+    w[:, 0], w[:, -1] = 1.0, contrast
+    return np.einsum("sij,sj,skj->sik", Q, w, Q)
+
+
+def dense_solution(op, f):
+    G = dense_green(op)
+    return (G @ f.reshape(-1, f.shape[-1])).reshape(f.shape)
+
+
+class TestMeanCoefficientPreconditioner:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_constant_coefficients_one_step(self, d, m):
+        # an anisotropic constant map that couples components and axes
+        rng = np.random.default_rng(10 * d + m)
+        t = LatticeTorus(d, m, 3, 2 if d < 3 else 1)
+        md = m * d
+        A = 2.0 * np.eye(md) + np.diag(np.arange(md)) + 0.5 * np.ones((md, md))
+        op = EllipticOperator(CoefficientField.constant(t, A))
+        f = rng.standard_normal((t.sites, m, 3))
+        f -= f.mean(axis=0)
+        for b in range(3):
+            u, rep = op.solve_green_raw(f[..., b])
+            assert rep.iterations == 1
+        u, _ = op.solve_green_raw(f)
+        ref = dense_solution(op, f)
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_iterations_flat_at_side_27(self):
+        op = perturbed_operator(3, N=3, eps=0.05)
+        t = op.torus
+        f = np.zeros((t.sites, 1, 3))
+        f[[0, t.sites // 2, t.index_of((5, 13, 20))], 0, [0, 1, 2]] = 1.0
+        f -= f.mean(axis=0)
+        for b in range(3):
+            _, rep = op.solve_green_raw(f[..., b])
+            assert rep.iterations <= 15
+
+    def test_random_coefficients_against_dense(self):
+        rng = np.random.default_rng(11)
+        t = LatticeTorus(2, 2, 3, 2)
+        A = CoefficientField(t, random_spd(rng, t.sites, t.m * t.d, 20.0))
+        op = EllipticOperator(A)
+        f = rng.standard_normal((t.sites, t.m, 2))
+        f -= f.mean(axis=0)
+        u, rep = op.solve_green_raw(f, tol=1e-13)
+        ref = dense_solution(op, f)
+        assert np.abs(u - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_symbol_zero_frequency_and_shape(self):
+        op = perturbed_operator(2, N=2, m=2)
+        t = op.torus
+        S = op.mean_symbol_inv()
+        assert S.shape == (t.side, t.side // 2 + 1, 2, 2)
+        assert np.all(S[0, 0] == 0.0)
 
 
 class TestGreenColumn:

@@ -1,15 +1,18 @@
 import numpy as np
+import pytest
 
 from frdkit import (
     AveragingOperator,
     Cube,
     CubeProjector,
     LatticeField,
+    LatticeTorus,
     cube_sites,
     dense_green,
     project_cube,
 )
-from frdkit.lattice import distances_from
+from frdkit.lattice import cube_offsets, distances_from
+from frdkit.smoothing import _translate_site_indices
 from conftest import perturbed_operator, random_mean_zero
 
 
@@ -197,3 +200,20 @@ class TestDuality:
             T[:, j] = av.smooth_raw(e).ravel()
             TT[:, j] = av.smooth_transpose_raw(e).ravel()
         np.testing.assert_allclose(TT, T.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_translate_site_indices_match_coordinate_formula(d):
+    """In-place per-axis accumulation against the (T, n, d) coordinate formula."""
+    torus = LatticeTorus(d, 1, 3, 2 if d < 3 else 1)
+    side_length = 2
+    anchors = np.arange(torus.sites, dtype=np.int64)[::2]
+    coords = torus.all_coords()[anchors]
+    offs = cube_offsets(d, side_length)
+    pos = (coords[:, None, :] + offs[None, :, :]) % torus.side
+    expected = np.zeros(pos.shape[:2], dtype=np.int64)
+    for j in range(d):
+        expected = expected * torus.side + pos[:, :, j]
+    got = _translate_site_indices(torus, side_length, anchors)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
