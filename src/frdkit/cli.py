@@ -49,7 +49,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 
-_CONFIG_KEYS = {"coefficients", "plan", "sources", "seed", "threads", "output_dir"}
+_CONFIG_KEYS = {"coefficients", "plan", "sources", "output_dir"}
 _PLAN_KEYS = {"cube_sides", "range_radii", "solver_tol"}
 _PROBE_KEYS = {"direction_matrix", "steps", "level", "source", "scan_steps"}
 
@@ -95,7 +95,7 @@ def cmd_decompose(args) -> int:
     try:
         cfg = load_config(args.config)
         op, plan, sources = build_from_config(cfg, args.tol)
-        dec = build_decomposition(op, plan, sources, threads=args.threads)
+        dec = build_decomposition(op, plan, sources)
         if args.seed is not None:
             dec.manifest["seed"] = int(args.seed)
         out = Path(args.out or cfg.get("output_dir", "archive"))
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_decompose)
 
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="finite-difference coefficient sensitivity")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_probe)
     return parser

@@ -259,13 +259,14 @@ def build_decomposition(
     op: EllipticOperator,
     plan: DecompositionPlan | None = None,
     sources=(),
-    threads: int | None = None,
 ) -> Decomposition:
     """Materialize kernel slices for the requested sources at every level.
 
     The manifest's ``solver`` entry holds the block iterations summed over
-    the kernel solves and their worst relative residual; both are
-    deterministic, so archives stay byte-reproducible.
+    the kernel solves and their worst relative residual, and ``smoothers``
+    each smoother's cube side, coefficient-period class count and whether
+    its local inverses are cached; all are deterministic, so archives stay
+    byte-reproducible.
     """
     plan = DecompositionPlan.default(op.torus) if plan is None else plan
     dec = Decomposition(op, plan)
@@ -285,7 +286,8 @@ def build_decomposition(
         "sources": [int(s) for s in srcs],
         "coefficient_hash": op.coefficients.content_hash(),
         "solver": {"iterations": iterations, "residual": residual},
-        "threads": threads,
+        "smoothers": [{"cube_side": s.side_length, "classes": s.classes,
+                       "cached": s.cached} for s in dec.smoothers],
         "created": _timestamp(),
     }
     return dec

@@ -119,20 +119,6 @@ def maximal_values(phi: LatticeField, max_side: int | None = None) -> np.ndarray
     return t.to_flat(best).ravel()
 
 
-def maximal_function(phi: LatticeField, max_side: int | None = None) -> LatticeField:
-    """Maximal function as a one-component field on the same geometry."""
-    t = phi.torus
-    vals = maximal_values(phi, max_side).reshape(t.sites, 1)
-    return LatticeField(LatticeTorus(t.d, 1, t.L, t.N), vals)
-
-
-def sharp_function(phi: LatticeField, max_side: int | None = None) -> LatticeField:
-    """Sharp (mean oscillation) function as a one-component field."""
-    t = phi.torus
-    vals = sharp_values(phi, max_side).reshape(t.sites, 1)
-    return LatticeField(LatticeTorus(t.d, 1, t.L, t.N), vals)
-
-
 def sharp_values(phi: LatticeField, max_side: int | None = None) -> np.ndarray:
     """(sites,) mean-oscillation sharp function over the same cube family.
 

@@ -6,9 +6,14 @@ the operator image of the input at every cube site and is zero elsewhere.
 The averaging operator applies that projection over every torus translate of
 a fixed cube and averages with weight ``1 / side_length^d`` (each site lies in
 exactly that many translates); its complement removes the locally determined
-part of a field.  All translate solves are batched dense solves against
-per-translate restrictions of the operator, accumulated in a fixed order so
-results do not depend on chunking.
+part of a field.
+
+Translates whose anchors agree modulo the coefficient field's exact
+per-axis periods have the same local matrix.  One inverse per such class is
+cached or, above a byte budget, reassembled on every application.  The
+right-hand sides are gathered by one roll of the field per cube offset,
+solved by one batched product over the classes and scattered back by the
+opposite rolls, in a fixed order, so results do not depend on chunking.
 """
 
 from __future__ import annotations
@@ -25,17 +30,19 @@ from .lattice import (
     cube_offsets,
     cube_sites,
 )
+from .coefficients import CoefficientField
 from .operators import EllipticOperator
 
-#: Cap on cached batched local inverses (float64 entries, ~400 MB).
-_CACHE_ENTRY_BUDGET = 5e7
+#: Cap on the cached local inverses of one smoother (bytes); above it they
+#: are reassembled on every application.
+_CACHE_BYTE_BUDGET = 400_000_000
 #: Cap on one chunk of reassembled local matrices (bytes); a smoother that
 #: would need more is refused when it is built, before any solve runs.
 _CHUNK_BYTE_BUDGET = 1 << 30
 #: Cap on the right-hand sides gathered for one column block (bytes); a block
 #: always holds at least one column.
 _GATHER_BYTE_BUDGET = 64 << 20
-#: Translate chunk for assemble-and-solve when the cache would be too large.
+#: Classes assembled and inverted together.
 _CHUNK = 2048
 
 
@@ -51,8 +58,20 @@ class Cube:
     side_length: int
 
 
-def _all_anchor_indices(torus: LatticeTorus) -> np.ndarray:
-    return np.arange(torus.sites, dtype=np.int64)
+def _coefficient_periods(coefficients: CoefficientField) -> tuple[int, ...]:
+    """Smallest period of the coefficient field along each axis.
+
+    Only an exact match counts, so a missed period costs speed, never
+    accuracy.  The smallest period divides the side, so only divisors are
+    tried.
+    """
+    t = coefficients.torus
+    grid = t.to_grid(coefficients.values)
+    return tuple(
+        next(p for p in range(1, t.side + 1) if t.side % p == 0
+             and np.array_equal(np.roll(grid, p, axis=j), grid))
+        for j in range(t.d)
+    )
 
 
 def _translate_site_indices(torus: LatticeTorus, side_length: int,
@@ -133,25 +152,6 @@ def _whole_torus_project_raw(flat: np.ndarray) -> np.ndarray:
     return flat - flat.mean(axis=0)
 
 
-def _scatter_add(idx: np.ndarray, sol: np.ndarray, sites: int) -> np.ndarray:
-    """Sum (b, T, nloc*m) local solutions into (sites, m, b) at ``idx``.
-
-    ``np.bincount`` adds in the order of ``idx.ravel()``, as ``np.add.at``
-    does, so the sums are the same bit for bit, at a fraction of the cost.
-    """
-    b, T, n = sol.shape
-    nloc = idx.shape[1]
-    m = n // nloc
-    out = np.empty((sites, m, b))
-    flat_idx = idx.ravel()
-    for j in range(b):
-        values = sol[j].reshape(T * nloc, m)
-        for a in range(m):
-            out[:, a, j] = np.bincount(flat_idx, np.ascontiguousarray(values[:, a]),
-                                       minlength=sites)
-    return out
-
-
 class CubeProjector:
     """Dirichlet-form projection onto fields supported in one cube."""
 
@@ -217,94 +217,109 @@ class AveragingOperator:
     makes every complement a strict energy contraction and every level of
     the decomposition positive.
 
-    Local factorizations are cached on first application; apply the operator
-    once before sharing it across threads.  Applications themselves are pure.
+    ``classes`` counts the coefficient-period classes of translates (0 for
+    the whole-torus cube, which has no local solves) and ``cached`` says
+    whether their inverses fit ``_CACHE_BYTE_BUDGET``.  Cached inverses are
+    built on first application; apply the operator once before sharing it
+    across threads.  Applications themselves are pure.
     """
 
-    def __init__(self, op: EllipticOperator, side_length: int,
-                 chunk: int = _CHUNK):
+    def __init__(self, op: EllipticOperator, side_length: int):
         t = op.torus
         if not 1 <= side_length <= t.side:
             raise LatticeError(f"cube side {side_length} out of range")
         self.op = op
         self.side_length = side_length
-        self.chunk = chunk
         self.whole_torus = side_length == t.side
         self._weight = 1.0 / side_length ** t.d
         self._inv = None
-        self._idx = None
-        if not self.whole_torus:
-            nloc = side_length ** t.d * t.m
-            self._cacheable = t.sites * nloc * nloc <= _CACHE_ENTRY_BUDGET
-            self._constant_coeff = op.coefficients.is_constant()
-            if not (self._cacheable or self._constant_coeff):
-                translates = min(chunk, t.sites)
-                chunk_bytes = translates * nloc * nloc * 8
-                if chunk_bytes > _CHUNK_BYTE_BUDGET:
-                    raise MemoryBudgetError(
-                        f"cube side {side_length}: one chunk of {translates} "
-                        f"local {nloc}x{nloc} matrices needs "
-                        f"{chunk_bytes / 2**30:.2f} GiB, above the "
-                        f"{_CHUNK_BYTE_BUDGET / 2**30:.2f} GiB budget")
-
-    def _ensure_cache(self) -> None:
-        if self._inv is not None or self.whole_torus:
+        self.classes, self.cached = 0, False
+        if self.whole_torus:
             return
-        t = self.op.torus
-        anchors = _all_anchor_indices(t)
-        if self._constant_coeff:
-            M, idx = _local_matrices(self.op, self.side_length, anchors[:1])
-            self._inv = np.linalg.inv(M[0])
-            self._idx = _translate_site_indices(t, self.side_length, anchors)
-        elif self._cacheable:
-            M, idx = _local_matrices(self.op, self.side_length, anchors)
-            self._inv = np.linalg.inv(M)
-            self._idx = idx
-        else:
-            self._idx = _translate_site_indices(t, self.side_length, anchors)
+        self.periods = _coefficient_periods(op.coefficients)
+        self.classes = int(np.prod(self.periods))
+        self._representatives = np.ravel_multi_index(
+            np.indices(self.periods).reshape(t.d, -1), t.shape)
+        self._members = tuple(t.side // p for p in self.periods)
+        self._windows = [tuple(slice(q, q + t.side) for q in p)
+                         for p in cube_offsets(t.d, side_length).tolist()]
+        n = side_length ** t.d * t.m
+        self.cached = self.classes * n * n * 8 <= _CACHE_BYTE_BUDGET
+        if not self.cached:
+            count = min(_CHUNK, self.classes)
+            chunk_bytes = count * n * n * 8
+            if chunk_bytes > _CHUNK_BYTE_BUDGET:
+                raise MemoryBudgetError(
+                    f"cube side {side_length}: one chunk of {count} "
+                    f"local {n}x{n} matrices needs "
+                    f"{chunk_bytes / 2**30:.2f} GiB, above the "
+                    f"{_CHUNK_BYTE_BUDGET / 2**30:.2f} GiB budget")
+
+    def _inverses(self, run: slice) -> np.ndarray:
+        """Local inverses of a run of classes: cached, or assembled afresh."""
+        if self._inv is not None:
+            return self._inv[run]
+        M, _ = _local_matrices(self.op, self.side_length, self._representatives[run])
+        return np.linalg.inv(M)
 
     def _solve_all_translates(self, flat: np.ndarray) -> np.ndarray:
         """Gather `flat` on every translate, solve locally, scatter-average.
 
-        The columns of a (sites, m, B) input go through in blocks whose
-        gathered right-hand sides fit ``_GATHER_BYTE_BUDGET``.
+        Offset p of every translate reads ``roll(f, -p)`` and its local
+        solution goes back as ``roll(y_p, +p)``: both are windows into the
+        field extended periodically by ``side_length - 1`` sites per axis.
+        Anchor axis j splits into (member, class) axes of lengths
+        (side / period_j, period_j), so the right-hand sides of one class
+        form one matrix.  Columns go through in blocks whose gathered
+        right-hand sides fit ``_GATHER_BYTE_BUDGET``.
         """
         t = self.op.torus
-        self._ensure_cache()
+        d, m, side, l = t.d, t.m, t.side, self.side_length
         cols = flat if flat.ndim == 3 else flat[..., None]
-        idx = self._idx
-        T, nloc = idx.shape
-        n = nloc * t.m
+        nloc = len(self._windows)
+        runs = column_blocks(self.classes, 1, _CHUNK)
+        if self.cached and self._inv is None:
+            inv = np.empty((self.classes, nloc * m, nloc * m))
+            for run in runs:
+                inv[run] = self._inverses(run)
+            self._inv = inv
+        split = [x for pair in zip(self._members, self.periods) for x in pair]
+        to_classes = [*range(1, 2 * d, 2), 2 * d, *range(0, 2 * d, 2), 2 * d + 1]
+        lead = (slice(None),) * d
+
+        def window(ext: np.ndarray, w: tuple) -> np.ndarray:
+            # splitting axes never copies, so the scatter can add into the view
+            b = ext.shape[-1]
+            return ext[w].reshape(split + [m, b]).transpose(to_classes)
+
         out = np.empty(cols.shape)
-        for block in column_blocks(cols.shape[2], T * n * 8, _GATHER_BYTE_BUDGET):
-            rhs = np.moveaxis(cols[..., block], 2, 0)[:, idx].reshape(-1, T, n)
-            out[..., block] = _scatter_add(idx, self._local_solves(rhs), t.sites)
+        for block in column_blocks(cols.shape[2], t.sites * nloc * m * 8,
+                                   _GATHER_BYTE_BUDGET):
+            ext = t.to_grid(cols[..., block])
+            for j in range(d):
+                ext = np.concatenate([ext, ext[lead[:j] + (slice(0, l - 1),)]], axis=j)
+            shape = self.periods + (nloc, m) + self._members + (ext.shape[-1],)
+            rhs = np.empty(shape)
+            for i, w in enumerate(self._windows):
+                rhs[lead + (i,)] = window(ext, w)
+            rhs = rhs.reshape(self.classes, nloc * m, -1)
+            sol = np.empty_like(rhs)
+            for run in runs:
+                np.matmul(self._inverses(run), rhs[run], out=sol[run])
+            del rhs
+            sol = sol.reshape(shape)
+            ext = np.zeros(ext.shape)
+            for i, w in enumerate(self._windows):
+                target = window(ext, w)
+                target += sol[lead + (i,)]
+            for j in range(d):
+                ext[lead[:j] + (slice(0, l - 1),)] += ext[lead[:j] + (slice(side, None),)]
+                ext = ext[lead[:j] + (slice(0, side),)]
+            out[..., block] = t.to_flat(ext)
         out *= self._weight
         return out if flat.ndim == 3 else out[..., 0]
 
-    def _local_solves(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve every translate's local system for a (b, T, n) block of columns."""
-        if self._constant_coeff:
-            return (rhs.reshape(-1, rhs.shape[2]) @ self._inv.T).reshape(rhs.shape)
-        if self._inv is not None:
-            return np.matmul(self._inv, rhs.transpose(1, 2, 0)).transpose(2, 0, 1)
-        sol = np.empty_like(rhs)
-        T = rhs.shape[1]
-        for start in range(0, T, self.chunk):
-            sl = slice(start, min(start + self.chunk, T))
-            M, _ = _local_matrices(self.op, self.side_length,
-                                   np.arange(sl.start, sl.stop, dtype=np.int64))
-            sol[:, sl] = np.linalg.solve(
-                M, rhs[:, sl].transpose(1, 2, 0)).transpose(2, 0, 1)
-        return sol
-
     # -- raw operations ------------------------------------------------------
-
-    def local_solve_average_raw(self, flat: np.ndarray) -> np.ndarray:
-        """Averaged local solves of the raw field (no leading operator apply)."""
-        if self.whole_torus:
-            raise LatticeError("degenerate whole-torus cube has no local solves")
-        return self._solve_all_translates(flat)
 
     def smooth_raw(self, flat: np.ndarray) -> np.ndarray:
         """Averaged projection of a (sites, m) field or of each column of (sites, m, B)."""

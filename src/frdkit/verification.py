@@ -194,17 +194,10 @@ def regularity_suite(n_seeds: int = 100) -> list[NormReport]:
     return records
 
 
-SUITES = {
-    "range": range_suite,
-    "positivity": positivity_suite,
-    "reconstruction": reconstruction_suite,
-    "decay": decay_suite,
-}
-
-
 def run_suites(dec: Decomposition, which: str = "all", seed: int = 0) -> list:
     records: list = []
-    names = list(SUITES) + ["regularity"] if which == "all" else [which]
+    names = (["range", "positivity", "reconstruction", "decay", "regularity"]
+             if which == "all" else [which])
     for name in names:
         if name == "regularity":
             records.extend(regularity_suite())

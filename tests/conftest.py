@@ -26,6 +26,18 @@ def perturbed_operator(d: int, L: int = 3, N: int = 2, eps: float = 0.05,
     return EllipticOperator(make_perturbed(spec, torus))
 
 
+def random_operator(d: int, L: int = 3, N: int = 2, m: int = 1,
+                    contrast: float = 4.0, seed: int = 0) -> EllipticOperator:
+    """A random SPD coefficient at every site: no period along any axis."""
+    torus = LatticeTorus(d, m, L, N)
+    md = m * d
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((torus.sites, md, md)))
+    w = rng.uniform(1.0, contrast, size=(torus.sites, md))
+    A = np.einsum("sij,sj,skj->sik", Q, w, Q)
+    return EllipticOperator(CoefficientField(torus, 0.5 * (A + A.transpose(0, 2, 1))))
+
+
 def identity_operator(d: int, L: int = 3, N: int = 2, m: int = 1) -> EllipticOperator:
     torus = LatticeTorus(d, m, L, N)
     return EllipticOperator(CoefficientField.identity(torus))

@@ -309,3 +309,35 @@ class TestCriteria:
         ok = worst <= 1e-9
         verdict(9, ok, f"matrix-free vs dense oracle on {cases}: worst rel "
                 f"{worst:.2e} (tol 1e-9)")
+
+    def test_10_desk_scale_default_plan(self, tmp_path):
+        # The README's desk scale: perturbed d = 3, side 27, default plan
+        # (cube sides 1, 3, 9).  The range claim L^k/2 of that plan fails at
+        # level 2 (its kernel is flat only from 2(1 + 3) = 8 > 4.5); the
+        # failure is pinned here as it stands, not hidden.
+        t0 = time.time()
+        eye = np.eye(3).tolist()
+        cfg = {"coefficients": {"d": 3, "m": 1, "L": 3, "N": 3, "A0": eye,
+                                "epsilon": 0.05,
+                                "modes": [{"frequency": [1, 0, 0], "amplitude": eye}],
+                                "budget": 20.0},
+               "sources": [0]}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        arch, out = tmp_path / "arch", tmp_path / "reports"
+        decompose = cli_main(["decompose", "--config", str(cfg_path),
+                              "--out", str(arch)])
+        decay = cli_main(["verify", str(arch), "--suite", "decay", "--out", str(out)])
+        range_code = cli_main(["verify", str(arch), "--suite", "range",
+                               "--out", str(out)])
+        records = [json.loads(line) for line in
+                   (out / "verify_range.jsonl").read_text().splitlines()]
+        failed = sorted(r["params"]["level"] for r in records
+                        if r["asserted"] and not r["pass"])
+        elapsed = time.time() - t0
+        ok = (decompose == 0 and decay == 0 and range_code == 1
+              and failed == [2] and elapsed <= 120)
+        verdict(10, ok, f"d=3 side-27 perturbed default plan: decompose exit "
+                f"{decompose}, verify decay exit {decay}, verify range exit "
+                f"{range_code} with failed levels {failed} (known: radius "
+                f"L^k/2 fails at level 2), {elapsed:.1f}s (budget 120s)")

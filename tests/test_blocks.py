@@ -10,9 +10,9 @@ from frdkit import AveragingOperator, DecompositionPlan, build_decomposition
 from frdkit import operators, smoothing
 from frdkit.cli import main
 from frdkit.decomposition import Decomposition
-from frdkit.smoothing import MemoryBudgetError, _scatter_add
+from frdkit.smoothing import MemoryBudgetError
 from frdkit.verification import positivity_suite, reconstruction_suite
-from conftest import identity_operator, perturbed_operator
+from conftest import identity_operator, perturbed_operator, random_operator
 
 RTOL = 1e-12
 
@@ -45,9 +45,12 @@ def naive_level(dec, k, u, transpose=False):
     return chain(k - 1) - chain(k) if k <= n else chain(n)
 
 
-# (d, m, local-solve path); "reassembly" shrinks the cache budget to zero.
+# (d, m, coefficients): "constant" has one class, "cached" one mode along
+# axis 0 (a class per coordinate on that axis), "reassembly" the same field
+# with the cache budget at zero, and "generic" a random field (a class per
+# translate).
 GEOMETRIES = [(d, m, path) for d in (1, 2, 3) for m in (1, 2)
-              for path in ("constant", "cached", "reassembly")]
+              for path in ("constant", "cached", "reassembly", "generic")]
 
 
 @pytest.fixture(params=GEOMETRIES, ids=lambda g: f"d{g[0]}-m{g[1]}-{g[2]}")
@@ -56,15 +59,18 @@ def dec(request, monkeypatch):
     N = 1 if d == 3 else 2
     if path == "constant":
         op = identity_operator(d, L=3, N=N, m=m)
+    elif path == "generic":
+        op = random_operator(d, L=3, N=N, m=m)
     else:
         op = perturbed_operator(d, L=3, N=N, m=m)
     if path == "reassembly":
-        monkeypatch.setattr(smoothing, "_CACHE_ENTRY_BUDGET", 0)
+        monkeypatch.setattr(smoothing, "_CACHE_BYTE_BUDGET", 0)
     plan = DecompositionPlan((1, 2), (1.0, 2.0))
     out = Decomposition(op, plan)
+    t = op.torus
     smoother = out.smoothers[-1]
-    assert smoother._constant_coeff == (path == "constant")
-    assert smoother._cacheable == (path != "reassembly")
+    assert smoother.classes == {"constant": 1, "generic": t.sites}.get(path, t.side)
+    assert smoother.cached == (path != "reassembly")
     return out
 
 
@@ -139,18 +145,6 @@ def test_columns_converging_apart_and_zero_column(monkeypatch, one_by_one):
     assert 0.0 < report.residual <= report.tol
 
 
-def test_scatter_matches_add_at_exactly():
-    rng = np.random.default_rng(6)
-    sites, T, nloc, m, b = 30, 30, 8, 2, 3
-    idx = rng.integers(0, sites, size=(T, nloc))
-    sol = rng.standard_normal((b, T, nloc * m))
-    got = _scatter_add(idx, sol, sites)
-    for j in range(b):
-        ref = np.zeros((sites, m))
-        np.add.at(ref, idx.ravel(), sol[j].reshape(-1, m))
-        assert np.array_equal(got[..., j], ref)
-
-
 class CountingSmoothers:
     """Counts fluctuation applications and Green solves on one decomposition."""
 
@@ -197,11 +191,12 @@ def test_suites_report_solver_counters(dec_d2_pert):
 
 class TestMemoryGuard:
     def test_side27_default_plan_exits_2(self, tmp_path, capsys):
+        # modes along every axis: each translate is its own class
         eye = np.eye(3).tolist()
+        modes = [{"frequency": f, "amplitude": eye}
+                 for f in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
         cfg = {"coefficients": {"d": 3, "m": 1, "L": 3, "N": 3, "A0": eye,
-                                "epsilon": 0.05,
-                                "modes": [{"frequency": [1, 0, 0], "amplitude": eye}],
-                                "budget": 20.0},
+                                "epsilon": 0.05, "modes": modes, "budget": 20.0},
                "sources": [0]}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
@@ -216,11 +211,13 @@ class TestMemoryGuard:
         assert not (tmp_path / "arch").exists()
 
     def test_side5_reassembly_chunk_is_allowed(self):
-        # 2048 local 125x125 matrices: 256 MB, inside the budget; nothing is
-        # allocated until the smoother is applied
-        op = perturbed_operator(3, L=15, N=1)
+        # a field varying along every axis has 3375 classes, above the cache
+        # budget; 2048 local 125x125 matrices are 256 MB, inside the chunk
+        # budget, and nothing is allocated until the smoother is applied
+        op = random_operator(3, L=15, N=1)
         smoother = AveragingOperator(op, 5)
-        assert not smoother._cacheable
+        assert smoother.classes == op.torus.sites
+        assert not smoother.cached
 
     @pytest.mark.parametrize("command", ["verify", "report", "sample", "probe"])
     def test_every_command_maps_to_exit_2(self, tmp_path, capsys, monkeypatch,
@@ -237,7 +234,7 @@ class TestMemoryGuard:
         arch = tmp_path / "arch"
         assert main(["decompose", "--config", str(path), "--out", str(arch)]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(smoothing, "_CACHE_ENTRY_BUDGET", 0)
+        monkeypatch.setattr(smoothing, "_CACHE_BYTE_BUDGET", 0)
         monkeypatch.setattr(smoothing, "_CHUNK_BYTE_BUDGET", 1)
         argv = {"verify": ["verify", str(arch), "--suite", "range"],
                 "report": ["report", str(arch)],
@@ -248,7 +245,7 @@ class TestMemoryGuard:
         assert err["error"] == "memory" and "GiB" in err["message"]
 
     def test_guard_raises_before_any_solve(self, monkeypatch):
-        monkeypatch.setattr(smoothing, "_CACHE_ENTRY_BUDGET", 0)
+        monkeypatch.setattr(smoothing, "_CACHE_BYTE_BUDGET", 0)
         monkeypatch.setattr(smoothing, "_CHUNK_BYTE_BUDGET", 1)
         with pytest.raises(MemoryBudgetError):
             build_decomposition(perturbed_operator(2), sources=[0])

@@ -62,6 +62,22 @@ class TestDecompose:
         assert main(["decompose", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("key", ["threads", "seed"])
+    def test_removed_config_keys_rejected(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, **{key: 1}))
+        assert main(["decompose", "--config", cfg,
+                     "--out", str(tmp_path / "x")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and key in err["message"]
+
+    @pytest.mark.parametrize("argv", [["decompose", "--threads", "2"],
+                                      ["probe", "--seed", "2"]])
+    def test_removed_flags_rejected(self, tmp_path, argv):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--config", cfg])
+        assert err.value.code == 2
+
     def test_deterministic_archives(self, tmp_path):
         # perturbed d=3 build: identical config and seed give identical bytes
         os.environ["SOURCE_DATE_EPOCH"] = "1700000000"

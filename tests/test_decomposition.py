@@ -17,7 +17,8 @@ from frdkit import (
 from frdkit.lattice import distances_from
 from frdkit.operators import mean_projector
 from frdkit.tableio import IntegrityError
-from conftest import perturbed_operator, random_mean_zero
+from conftest import (identity_operator, perturbed_operator, random_mean_zero,
+                      random_operator)
 
 
 class TestPlan:
@@ -182,6 +183,17 @@ class TestBuildAndArchive:
         dec = build_decomposition(op_d2_pert, sources=())
         assert dec.kernels == {}
         assert dec.manifest["sources"] == []
+
+    @pytest.mark.parametrize("kind,classes", [("constant", 1), ("mode", 9),
+                                              ("generic", 81)])
+    def test_manifest_records_smoother_classes(self, kind, classes):
+        make = {"constant": identity_operator, "mode": perturbed_operator,
+                "generic": random_operator}[kind]
+        dec = build_decomposition(make(2), sources=[0])
+        assert dec.manifest["smoothers"] == [
+            {"cube_side": 1, "classes": classes, "cached": True},
+            {"cube_side": 3, "classes": classes, "cached": True},
+        ]
 
     def test_build_populates_levels(self, op_d2_pert):
         dec = build_decomposition(op_d2_pert, sources=[0, 40])

@@ -12,8 +12,10 @@ from frdkit import (
     project_cube,
 )
 from frdkit.lattice import cube_offsets, distances_from
-from frdkit.smoothing import _translate_site_indices
-from conftest import perturbed_operator, random_mean_zero
+from frdkit import CoefficientField, PerturbationSpec, TrigMode, make_perturbed, smoothing
+from frdkit.smoothing import _coefficient_periods, _translate_site_indices
+from conftest import (identity_operator, perturbed_operator, random_mean_zero,
+                      random_operator)
 
 
 class TestCubeProjection:
@@ -217,3 +219,68 @@ def test_translate_site_indices_match_coordinate_formula(d):
     got = _translate_site_indices(torus, side_length, anchors)
     assert got.dtype == np.int64
     assert np.array_equal(got, expected)
+
+
+def modes_field(torus, frequencies):
+    md = torus.m * torus.d
+    spec = PerturbationSpec(
+        base=np.eye(md), epsilon=0.05, budget=1000.0,
+        modes=tuple(TrigMode(frequency=f, amplitude=np.eye(md)) for f in frequencies))
+    return make_perturbed(spec, torus)
+
+
+class TestCoefficientPeriods:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_constant_is_one_everywhere(self, d):
+        torus = LatticeTorus(d, 1, 3, 2 if d < 3 else 1)
+        assert _coefficient_periods(CoefficientField.identity(torus)) == (1,) * d
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mode_along_axis_0(self, d):
+        torus = LatticeTorus(d, 1, 3, 2)
+        field = modes_field(torus, [(1,) + (0,) * (d - 1)])
+        assert _coefficient_periods(field) == (torus.side,) + (1,) * (d - 1)
+
+    def test_modes_along_axes_0_and_1(self):
+        torus = LatticeTorus(3, 1, 3, 2)
+        field = modes_field(torus, [(1, 0, 0), (0, 1, 0)])
+        assert _coefficient_periods(field) == (9, 9, 1)
+
+    def test_shorter_period_than_the_side(self):
+        torus = LatticeTorus(2, 1, 3, 2)
+        field = modes_field(torus, [(3, 0)])
+        assert _coefficient_periods(field) == (3, 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_field_has_the_side_everywhere(self, d):
+        op = random_operator(d, N=2 if d < 3 else 1)
+        assert _coefficient_periods(op.coefficients) == (op.torus.side,) * d
+
+
+def field_operator(kind, d, m):
+    N = 2 if d < 3 else 1
+    if kind == "constant":
+        return identity_operator(d, N=N, m=m)
+    if kind == "mode":
+        return perturbed_operator(d, N=N, m=m)
+    return random_operator(d, N=N, m=m)
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "reassembled"])
+@pytest.mark.parametrize("kind", ["constant", "mode", "random"])
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_smoother_matches_its_definition(monkeypatch, d, m, kind, cached):
+    """smooth = l^-d times the sum of the cube projections over every anchor."""
+    if not cached:
+        monkeypatch.setattr(smoothing, "_CACHE_BYTE_BUDGET", 0)
+    op = field_operator(kind, d, m)
+    t = op.torus
+    f = np.random.default_rng(8).standard_normal((t.sites, t.m))
+    for side_length in range(1, min(4, t.side)):
+        smoother = AveragingOperator(op, side_length)
+        assert smoother.cached == cached
+        expected = sum(CubeProjector(op, Cube(t.coords_of(a), side_length)).project_raw(f)
+                       for a in range(t.sites)) / side_length ** t.d
+        got = smoother.smooth_raw(f)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
