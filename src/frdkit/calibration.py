@@ -166,8 +166,9 @@ def _sweep_key(check: str) -> str:
 
 
 def _round_up_3sig(x: float) -> float:
+    """Round up to three significant digits, as the nearest double to them."""
     if x <= 0 or not math.isfinite(x):
         return x
     exp = math.floor(math.log10(x))
     scale = 10.0 ** (exp - 2)
-    return math.ceil(x / scale) * scale
+    return round(math.ceil(x / scale) * scale, 2 - exp)

@@ -274,6 +274,17 @@ def cube_offsets(d: int, side_length: int) -> np.ndarray:
     ).reshape(-1, d)
 
 
+def cube_windows(d: int, side_length: int, count: int) -> list[tuple[slice, ...]]:
+    """Slices ``slice(o, o + count)`` per axis, one tuple per cube offset o.
+
+    Offsets come in ``cube_offsets`` order.  Window o of a grid padded by
+    ``side_length - 1`` holds, at each of ``count`` anchors per axis, the
+    value at anchor + o, so these windows visit every cube translate.
+    """
+    return [tuple(slice(o, o + count) for o in off)
+            for off in product(range(side_length), repeat=d)]
+
+
 def cube_sites(torus: LatticeTorus, anchor, side_length: int) -> np.ndarray:
     """Linear site indices of the cube anchored at its lexicographic corner.
 
@@ -284,11 +295,9 @@ def cube_sites(torus: LatticeTorus, anchor, side_length: int) -> np.ndarray:
         raise LatticeError(
             f"cube side {side_length} out of range [1, {torus.side}]"
         )
-    coords = (torus.wrap(anchor)[None, :] + cube_offsets(torus.d, side_length)) % torus.side
-    lin = np.zeros(coords.shape[0], dtype=np.int64)
-    for j in range(torus.d):
-        lin = lin * torus.side + coords[:, j]
-    return lin
+    grid = np.arange(torus.sites, dtype=np.int64).reshape(torus.shape)
+    rolled = np.roll(grid, tuple(-torus.wrap(anchor)), axis=tuple(range(torus.d)))
+    return rolled[(slice(0, side_length),) * torus.d].ravel()
 
 
 def closure(torus: LatticeTorus, site_indices: np.ndarray) -> np.ndarray:

@@ -88,9 +88,6 @@ class KernelColumn:
     provenance: str
     tol: float
 
-    def block(self, y: int) -> np.ndarray:
-        return self.values[y]
-
     def export(self, stem) -> dict:
         t = self.torus
         meta = {
@@ -118,7 +115,6 @@ class EllipticOperator:
         self.coefficients = coefficients
         self.torus = coefficients.torus
         self.c0, self.c1 = ellipticity_constants(coefficients)
-        self._jacobi_inv = None
         self._symbol_inv = None
 
     # -- raw array plumbing ------------------------------------------------
@@ -142,21 +138,6 @@ class EllipticOperator:
         Gu = gradient_stack_raw(t, u).reshape(t.sites, t.m * t.d)
         Gv = gradient_stack_raw(t, v).reshape(t.sites, t.m * t.d)
         return float(np.einsum("sp,spq,sq->", Gu, self.coefficients.values, Gv))
-
-    def jacobi_blocks_inv(self) -> np.ndarray:
-        """Inverse per-site m-by-m diagonal blocks of the operator stencil."""
-        if self._jacobi_inv is None:
-            t = self.torus
-            Av = self.coefficients.values.reshape(t.sites, t.m, t.d, t.m, t.d)
-            D = np.einsum("sajbj->sab", Av).copy()
-            for j in range(t.d):
-                g = t.to_grid(Av.reshape(t.sites, -1))
-                shifted = t.to_flat(np.roll(g, +1, axis=j)).reshape(
-                    t.sites, t.m, t.d, t.m, t.d
-                )
-                D += shifted[:, :, j, :, j]
-            self._jacobi_inv = np.linalg.inv(D)
-        return self._jacobi_inv
 
     def mean_symbol_inv(self) -> np.ndarray:
         """Inverse Fourier symbol of the operator at the site-mean coefficient.

@@ -9,6 +9,15 @@ implicit compare against constants frozen by a documented corpus sweep (see
 ``calibrate`` and ``constants.SWEPT_CONSTANTS``); the interior estimate is the
 one check asserted with its stated constant, at a declared factor-2 slack for
 the discrete cutoff.
+
+Maximal and sharp functions, over the cubes that wrap around the torus and
+over the subcubes of one cube alike, come from one windowed sweep
+(``_family_sup``): per cube side, the statistic at every anchor is read from
+windows (``lattice.cube_windows``) of the field grid, padded periodically
+with ``np.pad(..., mode="wrap")`` for the torus family and left unpadded for
+the subcube family, and a running max over windows of the padded anchor grid
+carries it to every site of the cube.  The two families differ only in how
+the grids are padded.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .lattice import (
     LatticeField,
     LatticeTorus,
     cube_sites,
+    cube_windows,
     distances_from,
     forward_diff_raw,
     gradient_stack_raw,
@@ -81,26 +91,54 @@ def weak_norm_cube(values: np.ndarray, cube_idx: np.ndarray, p: float) -> float:
 # maximal / sharp / BMO over the full axis-cube family
 
 
-def _box_sums_periodic(grid: np.ndarray, l: int) -> np.ndarray:
-    """Sum over the cube of side l anchored at each site (periodic)."""
-    out = grid
-    for ax in range(grid.ndim):
-        acc = out.copy()
-        for s in range(1, l):
-            acc += np.roll(out, -s, axis=ax)
-        out = acc
-    return out
+def _window_reduce(ext: np.ndarray, d: int, l: int, count: int, op) -> np.ndarray:
+    """Reduce with ``op`` over the l windows of length ``count`` along each
+    of the first d axes, one axis at a time, in offset order."""
+    windows = cube_windows(1, l, count)
+    for ax in range(d):
+        lead = (slice(None),) * ax
+        acc = ext[lead + windows[0]].copy()
+        for w in windows[1:]:
+            op(acc, ext[lead + w], out=acc)
+        ext = acc
+    return ext
 
 
-def _anchor_max_to_sites(anchor_vals: np.ndarray, l: int) -> np.ndarray:
-    """max over the l^d anchors whose cube contains each site (periodic)."""
-    out = anchor_vals
-    for ax in range(anchor_vals.ndim):
-        acc = out.copy()
-        for s in range(1, l):
-            np.maximum(acc, np.roll(out, s, axis=ax), out=acc)
-        out = acc
-    return out
+def _family_sup(grid: np.ndarray, sides, wrap: bool, sharp: bool) -> np.ndarray:
+    """Per site of a (n,)*d + (m,) field grid, the sup of a cube statistic
+    over the cubes of the given sides that contain the site.
+
+    The statistic is the mean of |f|, or with ``sharp`` the mean oscillation
+    (1/|Q|) sum_Q |f - f_Q| about the componentwise mean f_Q.  With ``wrap``
+    the cubes wrap around the grid, one anchor per site; otherwise they stay
+    inside it, n - l + 1 anchors per axis.  Anchor statistics are spread to
+    the sites of their cube by a running max over the anchor grid padded by
+    l - 1: periodically on the low side, or with zeros on both sides (every
+    statistic is nonnegative).
+    """
+    def magnitudes(x):
+        return np.sqrt((x ** 2).sum(axis=-1))
+
+    d = grid.ndim - 1
+    n = grid.shape[0]
+    if not sharp:
+        grid = magnitudes(grid)[..., None]
+    best = np.zeros(grid.shape[:d])
+    for l in sides:
+        ext = np.pad(grid, [(0, l - 1)] * d + [(0, 0)], mode="wrap") if wrap else grid
+        count = ext.shape[0] - l + 1
+        means = _window_reduce(ext, d, l, count, np.add) / l ** d
+        if sharp:
+            vals = sum(magnitudes(ext[w] - means)
+                       for w in cube_windows(d, l, count)) / l ** d
+        else:
+            vals = means[..., 0]
+        if wrap:
+            vals = np.pad(vals, [(l - 1, 0)] * d, mode="wrap")
+        else:
+            vals = np.pad(vals, l - 1)
+        np.maximum(best, _window_reduce(vals, d, l, n, np.maximum), out=best)
+    return best
 
 
 def default_max_side(torus: LatticeTorus) -> int:
@@ -108,14 +146,14 @@ def default_max_side(torus: LatticeTorus) -> int:
 
 
 def maximal_values(phi: LatticeField, max_side: int | None = None) -> np.ndarray:
-    """(sites,) sup of cube means of |phi| over all axis cubes containing x."""
+    """(sites,) sup of cube means of |phi| over all axis cubes containing x.
+
+    Single sites always count as cubes of the family.
+    """
     t = phi.torus
     max_side = default_max_side(t) if max_side is None else max_side
-    mag = t.to_grid(site_magnitudes(phi.values))
-    best = mag.copy()
-    for l in range(2, max_side + 1):
-        means = _box_sums_periodic(mag, l) / l ** t.d
-        np.maximum(best, _anchor_max_to_sites(means, l), out=best)
+    best = _family_sup(t.to_grid(phi.values), range(1, max(max_side, 1) + 1),
+                       wrap=True, sharp=False)
     return t.to_flat(best).ravel()
 
 
@@ -126,24 +164,8 @@ def sharp_values(phi: LatticeField, max_side: int | None = None) -> np.ndarray:
     """
     t = phi.torus
     max_side = default_max_side(t) if max_side is None else max_side
-    vals = phi.values  # (sites, m)
-    best = np.zeros(t.shape)
-    for l in range(1, max_side + 1):
-        nloc = l ** t.d
-        comp_means = np.stack(
-            [_box_sums_periodic(t.to_grid(vals[:, a]), l) / nloc for a in range(t.m)],
-            axis=-1,
-        )  # anchored cube means per component
-        # oscillation at anchor a: mean over offsets of |f(a+o) - mean(a)|
-        osc = np.zeros(t.shape)
-        grid = t.to_grid(vals)
-        for off in product(range(l), repeat=t.d):
-            shifted = np.roll(grid, tuple(-o for o in off), axis=tuple(range(t.d)))
-            osc += site_magnitudes(
-                (shifted - comp_means).reshape(t.sites, t.m)
-            ).reshape(t.shape)
-        osc /= nloc
-        np.maximum(best, _anchor_max_to_sites(osc, l), out=best)
+    best = _family_sup(t.to_grid(phi.values), range(1, max_side + 1),
+                       wrap=True, sharp=True)
     return t.to_flat(best).ravel()
 
 
@@ -151,43 +173,22 @@ def bmo_norm(phi: LatticeField, max_side: int | None = None) -> float:
     return float(sharp_values(phi, max_side).max())
 
 
-# restricted family (all subcubes of one cube); small sizes, direct loops
-
-
-def _restricted_family_values(t: LatticeTorus, values: np.ndarray, cube: Cube):
-    idx = cube_sites(t, cube.anchor, cube.side_length)
+def _in_cube(phi: LatticeField, cube: Cube, sharp: bool) -> np.ndarray:
+    """The subcube family of one cube; (cube sites,) in cube order."""
+    t = phi.torus
     lq = cube.side_length
-    local = values[idx].reshape((lq,) * t.d + (values.shape[1],))
-    return idx, local
+    local = phi.values[cube_sites(t, cube.anchor, lq)].reshape((lq,) * t.d + (t.m,))
+    return _family_sup(local, range(1, lq + 1), wrap=False, sharp=sharp).ravel()
 
 
 def maximal_values_in_cube(phi: LatticeField, cube: Cube) -> np.ndarray:
     """Maximal function over subcubes of one cube; (cube sites,) in cube order."""
-    t = phi.torus
-    idx, local = _restricted_family_values(t, phi.values, cube)
-    lq = cube.side_length
-    mags = site_magnitudes(local.reshape(-1, t.m)).reshape((lq,) * t.d)
-    best = np.zeros_like(mags)
-    for l in range(1, lq + 1):
-        for anchor in product(range(lq - l + 1), repeat=t.d):
-            sl = tuple(slice(a, a + l) for a in anchor)
-            mean = mags[sl].mean()
-            np.maximum(best[sl], mean, out=best[sl])
-    return best.ravel()
+    return _in_cube(phi, cube, sharp=False)
 
 
 def sharp_values_in_cube(phi: LatticeField, cube: Cube) -> np.ndarray:
-    t = phi.torus
-    idx, local = _restricted_family_values(t, phi.values, cube)
-    lq = cube.side_length
-    best = np.zeros((lq,) * t.d)
-    for l in range(1, lq + 1):
-        for anchor in product(range(lq - l + 1), repeat=t.d):
-            sl = tuple(slice(a, a + l) for a in anchor)
-            block = local[sl].reshape(-1, t.m)
-            osc = site_magnitudes(block - block.mean(axis=0)).mean()
-            np.maximum(best[sl], osc, out=best[sl])
-    return best.ravel()
+    """Sharp function over subcubes of one cube; (cube sites,) in cube order."""
+    return _in_cube(phi, cube, sharp=True)
 
 
 # ---------------------------------------------------------------------------

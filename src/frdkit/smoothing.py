@@ -10,10 +10,16 @@ part of a field.
 
 Translates whose anchors agree modulo the coefficient field's exact
 per-axis periods have the same local matrix.  One inverse per such class is
-cached or, above a byte budget, reassembled on every application.  The
-right-hand sides are gathered by one roll of the field per cube offset,
-solved by one batched product over the classes and scattered back by the
-opposite rolls, in a fixed order, so results do not depend on chunking.
+cached or, above a byte budget, reassembled on every application.
+
+Every translate is visited through windows (``lattice.cube_windows``) of a
+grid padded periodically by ``side_length - 1`` sites per axis with
+``np.pad(..., mode="wrap")``: window o holds, at each anchor, the value at
+anchor + o.  The local matrices read their site indices from windows of the
+padded site-index grid; the right-hand sides are gathered from windows of
+the padded field, solved by one batched product over the classes and added
+back into the same windows, in a fixed order, so results do not depend on
+chunking.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ import numpy as np
 from .lattice import (
     LatticeError,
     LatticeField,
-    LatticeTorus,
     column_blocks,
     cube_offsets,
     cube_sites,
+    cube_windows,
 )
 from .coefficients import CoefficientField
 from .operators import EllipticOperator
@@ -74,27 +80,8 @@ def _coefficient_periods(coefficients: CoefficientField) -> tuple[int, ...]:
     )
 
 
-def _translate_site_indices(torus: LatticeTorus, side_length: int,
-                            anchors: np.ndarray) -> np.ndarray:
-    """(len(anchors), side_length^d) global site index per translate.
-
-    Accumulated one axis at a time in place, so the peak is two (T, n) index
-    arrays: at cube side 9 on a side-27 d = 3 torus each is 110 MB.
-    """
-    coords = torus.all_coords()[anchors]  # (T, d)
-    offs = cube_offsets(torus.d, side_length)  # (n, d)
-    lin = np.zeros((coords.shape[0], offs.shape[0]), dtype=np.int64)
-    axis_pos = np.empty_like(lin)
-    for j in range(torus.d):
-        np.add(coords[:, j, None], offs[None, :, j], out=axis_pos)
-        axis_pos %= torus.side
-        lin *= torus.side
-        lin += axis_pos
-    return lin
-
-
 def _local_matrices(op: EllipticOperator, side_length: int,
-                    anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                    anchors: np.ndarray) -> np.ndarray:
     """Restrictions of the operator to cube translates: (T, n, n) with n = l^d*m.
 
     Stencil entries, with F the coefficient-weighted gradient:
@@ -110,7 +97,12 @@ def _local_matrices(op: EllipticOperator, side_length: int,
     offs = cube_offsets(t.d, side_length)
     nloc = offs.shape[0]
     offmap = {tuple(o): i for i, o in enumerate(offs)}
-    idx = _translate_site_indices(t, side_length, anchors)
+    # (T, nloc) site index of every offset of every translate
+    ext = np.pad(np.arange(t.sites, dtype=np.int64).reshape(t.shape),
+                 (0, side_length - 1), mode="wrap")
+    at = np.unravel_index(anchors, t.shape)
+    idx = np.stack([ext[w][at] for w in cube_windows(t.d, side_length, t.side)],
+                   axis=1)
     T = idx.shape[0]
     M = np.zeros((T, nloc, m, nloc, m))
     Agrid = t.to_grid(op.coefficients.values.reshape(t.sites, -1))
@@ -143,7 +135,7 @@ def _local_matrices(op: EllipticOperator, side_length: int,
                 if q in offmap:
                     M[:, p_i, :, offmap[q], :] += Am[:, p_i, :, j, :, k]
     n = nloc * m
-    return M.reshape(T, n, n), idx
+    return M.reshape(T, n, n)
 
 
 def _whole_torus_project_raw(flat: np.ndarray) -> np.ndarray:
@@ -166,8 +158,7 @@ class CubeProjector:
             self._solver = None
         else:
             anchor = np.array([t.index_of(cube.anchor)], dtype=np.int64)
-            M, idx = _local_matrices(op, cube.side_length, anchor)
-            self._idx = idx[0]
+            M = _local_matrices(op, cube.side_length, anchor)
             self._solver = np.linalg.inv(M[0])
 
     def dirichlet_solve_raw(self, rhs: np.ndarray) -> np.ndarray:
@@ -175,9 +166,9 @@ class CubeProjector:
         t = self.op.torus
         if self._solver is None:
             raise LatticeError("whole-torus cube has no Dirichlet problem")
-        local = (self._solver @ rhs[self._idx].reshape(-1)).reshape(-1, t.m)
+        local = (self._solver @ rhs[self.site_indices].reshape(-1)).reshape(-1, t.m)
         out = np.zeros((t.sites, t.m))
-        out[self._idx] = local
+        out[self.site_indices] = local
         return out
 
     def project_raw(self, flat: np.ndarray) -> np.ndarray:
@@ -241,8 +232,7 @@ class AveragingOperator:
         self._representatives = np.ravel_multi_index(
             np.indices(self.periods).reshape(t.d, -1), t.shape)
         self._members = tuple(t.side // p for p in self.periods)
-        self._windows = [tuple(slice(q, q + t.side) for q in p)
-                         for p in cube_offsets(t.d, side_length).tolist()]
+        self._windows = cube_windows(t.d, side_length, t.side)
         n = side_length ** t.d * t.m
         self.cached = self.classes * n * n * 8 <= _CACHE_BYTE_BUDGET
         if not self.cached:
@@ -259,15 +249,16 @@ class AveragingOperator:
         """Local inverses of a run of classes: cached, or assembled afresh."""
         if self._inv is not None:
             return self._inv[run]
-        M, _ = _local_matrices(self.op, self.side_length, self._representatives[run])
-        return np.linalg.inv(M)
+        return np.linalg.inv(
+            _local_matrices(self.op, self.side_length, self._representatives[run]))
 
     def _solve_all_translates(self, flat: np.ndarray) -> np.ndarray:
         """Gather `flat` on every translate, solve locally, scatter-average.
 
-        Offset p of every translate reads ``roll(f, -p)`` and its local
-        solution goes back as ``roll(y_p, +p)``: both are windows into the
-        field extended periodically by ``side_length - 1`` sites per axis.
+        Offset p of every translate reads window p of the field padded
+        periodically by ``side_length - 1`` sites per axis, and its local
+        solution is added into the same window of a zero grid whose padding
+        is then folded back onto the torus.
         Anchor axis j splits into (member, class) axes of lengths
         (side / period_j, period_j), so the right-hand sides of one class
         form one matrix.  Columns go through in blocks whose gathered
@@ -295,9 +286,8 @@ class AveragingOperator:
         out = np.empty(cols.shape)
         for block in column_blocks(cols.shape[2], t.sites * nloc * m * 8,
                                    _GATHER_BYTE_BUDGET):
-            ext = t.to_grid(cols[..., block])
-            for j in range(d):
-                ext = np.concatenate([ext, ext[lead[:j] + (slice(0, l - 1),)]], axis=j)
+            ext = np.pad(t.to_grid(cols[..., block]),
+                         [(0, l - 1)] * d + [(0, 0)] * 2, mode="wrap")
             shape = self.periods + (nloc, m) + self._members + (ext.shape[-1],)
             rhs = np.empty(shape)
             for i, w in enumerate(self._windows):

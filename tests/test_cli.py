@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from frdkit import cli
 from frdkit.cli import main
+from frdkit.operators import ConvergenceError, SolveReport
 
 BASE_CONFIG = {
     "coefficients": {
@@ -291,6 +293,26 @@ class TestSample:
             assert main(["sample", str(sample_archive), "--count", "32",
                          "--seed", "11", "--out", str(out)]) == 0
         assert (a / "samples.bin").read_bytes() == (b / "samples.bin").read_bytes()
+
+    def test_negative_level_is_refused(self, sample_archive, tmp_path,
+                                       monkeypatch, capsys):
+        def indefinite(dec):
+            return [np.diag(np.linspace(-1e-6, 1.0, 25))]
+        monkeypatch.setattr(cli, "dense_level_matrices", indefinite)
+        out = tmp_path / "neg"
+        assert main(["sample", str(sample_archive), "--count", "4",
+                     "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "check"
+        assert not out.exists()
+
+    def test_solver_failure_exits_1(self, sample_archive, tmp_path,
+                                    monkeypatch, capsys):
+        def diverging(dec):
+            raise ConvergenceError("no convergence", SolveReport(1, 1.0, 1e-10))
+        monkeypatch.setattr(cli, "dense_level_matrices", diverging)
+        assert main(["sample", str(sample_archive), "--count", "4",
+                     "--out", str(tmp_path / "div")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "solver"
 
     def test_sample_shape_and_log(self, sample_archive, tmp_path):
         from frdkit.tableio import read_table

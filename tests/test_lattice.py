@@ -17,7 +17,7 @@ from frdkit import (
     forward_diff,
     grad_multi,
 )
-from frdkit.lattice import distances_from
+from frdkit.lattice import cube_offsets, cube_windows, distances_from
 
 
 def brute_dist_inf(x, y, torus):
@@ -245,3 +245,25 @@ class TestCubes:
         t = LatticeTorus(2, 1, 3, 1)
         with pytest.raises(LatticeError):
             cube_sites(t, (0, 0), 4)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cube_windows_follow_cube_offsets(self, d):
+        windows = cube_windows(d, 3, 5)
+        starts = [[w.start for w in win] for win in windows]
+        assert starts == cube_offsets(d, 3).tolist()
+        assert all(w.stop - w.start == 5 for win in windows for w in win)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cube_sites_match_coordinate_formula(self, d):
+        # every anchor, including negative ones and ones past the side
+        t = LatticeTorus(d, 1, 3, 2 if d < 3 else 1)
+        for side_length in range(1, min(t.side, 5) + 1):
+            offs = itertools.product(range(side_length), repeat=d)
+            offs = np.array(list(offs), dtype=np.int64).reshape(-1, d)
+            for anchor in itertools.product(range(-t.side - 1, 2 * t.side + 1),
+                                            repeat=d):
+                coords = (np.array(anchor)[None, :] + offs) % t.side
+                expected = np.ravel_multi_index(tuple(coords.T), t.shape)
+                got = cube_sites(t, anchor, side_length)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected)

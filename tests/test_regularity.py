@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,14 +20,35 @@ from frdkit.regularity import (
     kernel_majorant_report,
     level_decay_report,
     maximal_values,
+    maximal_values_in_cube,
     projection_bound_check,
     sharp_values,
+    sharp_values_in_cube,
     sobolev_check,
     weak_norm,
     weak_norm_cube,
     weak_vs_strong_check,
 )
 from conftest import identity_operator, perturbed_operator, random_mean_zero
+
+
+def brute_force_family(t, values, cubes):
+    """Per site, the largest mean |f| and mean oscillation over the listed cubes.
+
+    Each cube is (anchor, side); its sites come from the coordinate formula
+    (anchor + offset) mod side, independently of ``cube_sites``.
+    """
+    mag = np.zeros(t.sites)
+    osc = np.zeros(t.sites)
+    for anchor, l in cubes:
+        idx = [t.index_of(tuple(a + o for a, o in zip(anchor, off)))
+               for off in itertools.product(range(l), repeat=t.d)]
+        block = values[idx]
+        mean_mag = np.sqrt((block ** 2).sum(axis=1)).mean()
+        mean_osc = np.sqrt(((block - block.mean(axis=0)) ** 2).sum(axis=1)).mean()
+        mag[idx] = np.maximum(mag[idx], mean_mag)
+        osc[idx] = np.maximum(osc[idx], mean_osc)
+    return mag, osc
 
 
 def scalar_field(t, values):
@@ -131,6 +154,38 @@ class TestMaximalSharp:
                         if (rel < l).all():
                             best = max(best, mags[idx].mean())
             assert got[site] == pytest.approx(best)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_periodic_family_against_brute_force(self, d, m):
+        # max_side above side // 2 makes cubes of several sides cross the wrap
+        t = LatticeTorus(d, m, 3, 2 if d < 3 else 1)
+        f = LatticeField(t, np.random.default_rng(10 + d).standard_normal((t.sites, m)))
+        max_side = min(t.side, 5)
+        anchors = list(itertools.product(range(t.side), repeat=d))
+        cubes = [(a, l) for l in range(1, max_side + 1) for a in anchors]
+        mag_ref, osc_ref = brute_force_family(t, f.values, cubes)
+        np.testing.assert_allclose(maximal_values(f, max_side), mag_ref, rtol=1e-12)
+        np.testing.assert_allclose(sharp_values(f, max_side), osc_ref,
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_in_cube_family_against_brute_force(self, d, m):
+        # the cube crosses the torus wrap along every axis
+        t = LatticeTorus(d, m, 3, 2)
+        f = LatticeField(t, np.random.default_rng(20 + d).standard_normal((t.sites, m)))
+        lq = 4
+        cube = Cube((7,) * d, lq)
+        cubes = [(tuple(7 + b for b in corner), l) for l in range(1, lq + 1)
+                 for corner in itertools.product(range(lq - l + 1), repeat=d)]
+        order = [t.index_of(tuple(7 + o for o in off))
+                 for off in itertools.product(range(lq), repeat=d)]
+        mag_ref, osc_ref = brute_force_family(t, f.values, cubes)
+        np.testing.assert_allclose(maximal_values_in_cube(f, cube), mag_ref[order],
+                                   rtol=1e-12)
+        np.testing.assert_allclose(sharp_values_in_cube(f, cube), osc_ref[order],
+                                   rtol=1e-12, atol=1e-15)
 
     def test_hardy_littlewood_passes_frozen(self):
         t = LatticeTorus(2, 1, 3, 2)

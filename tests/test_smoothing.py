@@ -11,9 +11,9 @@ from frdkit import (
     dense_green,
     project_cube,
 )
-from frdkit.lattice import cube_offsets, distances_from
+from frdkit.lattice import distances_from
 from frdkit import CoefficientField, PerturbationSpec, TrigMode, make_perturbed, smoothing
-from frdkit.smoothing import _coefficient_periods, _translate_site_indices
+from frdkit.smoothing import _coefficient_periods
 from conftest import (identity_operator, perturbed_operator, random_mean_zero,
                       random_operator)
 
@@ -157,7 +157,7 @@ class TestAveraging:
         av = AveragingOperator(op_d2_pert, 1)
         phi = random_mean_zero(op_d2_pert, 10)
         image = op_d2_pert.apply_raw(phi.values)
-        expected = np.einsum("sab,sb->sa", op_d2_pert.jacobi_blocks_inv(), image)
+        expected = np.einsum("sab,sb->sa", jacobi_blocks_inv(op_d2_pert), image)
         np.testing.assert_allclose(av.smooth_raw(phi.values), expected, atol=1e-13)
 
 
@@ -204,21 +204,16 @@ class TestDuality:
         np.testing.assert_allclose(TT, T.T, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_translate_site_indices_match_coordinate_formula(d):
-    """In-place per-axis accumulation against the (T, n, d) coordinate formula."""
-    torus = LatticeTorus(d, 1, 3, 2 if d < 3 else 1)
-    side_length = 2
-    anchors = np.arange(torus.sites, dtype=np.int64)[::2]
-    coords = torus.all_coords()[anchors]
-    offs = cube_offsets(d, side_length)
-    pos = (coords[:, None, :] + offs[None, :, :]) % torus.side
-    expected = np.zeros(pos.shape[:2], dtype=np.int64)
-    for j in range(d):
-        expected = expected * torus.side + pos[:, :, j]
-    got = _translate_site_indices(torus, side_length, anchors)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, expected)
+def jacobi_blocks_inv(op):
+    """Inverse per-site m-by-m diagonal blocks of the operator stencil."""
+    t = op.torus
+    Av = op.coefficients.values.reshape(t.sites, t.m, t.d, t.m, t.d)
+    D = np.einsum("sajbj->sab", Av).copy()
+    for j in range(t.d):
+        g = t.to_grid(Av.reshape(t.sites, -1))
+        shifted = t.to_flat(np.roll(g, +1, axis=j)).reshape(t.sites, t.m, t.d, t.m, t.d)
+        D += shifted[:, :, j, :, j]
+    return np.linalg.inv(D)
 
 
 def modes_field(torus, frequencies):
