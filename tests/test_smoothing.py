@@ -11,9 +11,10 @@ from frdkit import (
     dense_green,
     project_cube,
 )
-from frdkit.lattice import distances_from
+from frdkit.lattice import cube_offsets, distances_from
+from frdkit.operators import dense_matrix
 from frdkit import CoefficientField, PerturbationSpec, TrigMode, make_perturbed, smoothing
-from frdkit.smoothing import _coefficient_periods
+from frdkit.smoothing import _coefficient_periods, _local_matrices
 from conftest import (identity_operator, perturbed_operator, random_mean_zero,
                       random_operator)
 
@@ -202,6 +203,31 @@ class TestDuality:
             T[:, j] = av.smooth_raw(e).ravel()
             TT[:, j] = av.smooth_transpose_raw(e).ravel()
         np.testing.assert_allclose(TT, T.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_translate_site_indices_match_coordinate_formula(d):
+    """Local matrices are the dense operator on the (T, n) coordinate-formula sites.
+
+    The translate index table of ``_local_matrices`` picks which sites'
+    coefficients fill each local matrix; a random coefficient makes any
+    wrong entry of it show.
+    """
+    op = random_operator(d, 3, 2 if d < 3 else 1, seed=d)
+    torus = op.torus
+    side_length = 2
+    anchors = np.arange(torus.sites, dtype=np.int64)[::2]
+    coords = torus.all_coords()[anchors]
+    offs = cube_offsets(d, side_length)
+    pos = (coords[:, None, :] + offs[None, :, :]) % torus.side
+    expected = np.zeros(pos.shape[:2], dtype=np.int64)
+    for j in range(d):
+        expected = expected * torus.side + pos[:, :, j]
+    got = _local_matrices(op, side_length, anchors)
+    dense = dense_matrix(op)
+    assert got.shape == (anchors.size, offs.shape[0], offs.shape[0])
+    for M, sites in zip(got, expected):
+        np.testing.assert_allclose(M, dense[np.ix_(sites, sites)], rtol=0, atol=1e-13)
 
 
 def jacobi_blocks_inv(op):
