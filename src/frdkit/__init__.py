@@ -13,7 +13,6 @@ from .lattice import (
     LatticeTorus,
     MultiIndex,
     backward_diff,
-    closure,
     cube_sites,
     dist_inf,
     distances_from,

@@ -19,7 +19,7 @@ import numpy as np
 from .lattice import LatticeField, LatticeTorus
 from .coefficients import PerturbationSpec, TrigMode, make_perturbed
 from .operators import EllipticOperator
-from .smoothing import Cube
+from .smoothing import Cube, CubeProjector
 from .constants import CALIBRATION
 from . import regularity
 
@@ -48,7 +48,6 @@ class _CorpusContext:
         self.inner = Cube((2,) * d, 3)
         self.fs_cube = Cube((1,) * d, 6 if d == 2 else 4)
         self.work_cube = Cube((0,) * d, 7)
-        from .smoothing import CubeProjector
         self._projector = CubeProjector(self.op, self.harmonic_cube)
 
     def random_field(self, rng) -> LatticeField:
@@ -108,8 +107,9 @@ def corpus_records(seed_index: int, constants: dict | None = None) -> list:
     return records
 
 
-def auxiliary_records(constants: dict | None = None, n_seeds: int = 20) -> list:
-    """Smaller sweeps for the solve-backed checks (cube problems, projections)."""
+def auxiliary_records(constants: dict | None = None) -> list:
+    """Smaller sweeps for the solve-backed checks (cube problems, projections):
+    20 seeds per dimension."""
     def C(key):
         return None if constants is None else constants.get(key, 1.0)
 
@@ -117,7 +117,7 @@ def auxiliary_records(constants: dict | None = None, n_seeds: int = 20) -> list:
     for d in (2, 3):
         ctx = _context(d)
         t = ctx.torus
-        for i in range(n_seeds):
+        for i in range(20):
             rng = np.random.default_rng(
                 CALIBRATION["base_seed"] + 77000 + 1000 * d + i)
             fmat = rng.standard_normal((t.sites, t.m, t.d))
@@ -140,16 +140,15 @@ def auxiliary_records(constants: dict | None = None, n_seeds: int = 20) -> list:
     return records
 
 
-def run_sweep(margin: float | None = None, n_seeds: int | None = None) -> dict:
+def run_sweep() -> dict:
     """Worst observed ratio per swept check across the corpus, with margin.
 
-    Returns the dict to freeze into ``constants.SWEPT_CONSTANTS``.
+    The seed count and margin are ``CALIBRATION``'s.  Returns the dict to
+    freeze into ``constants.SWEPT_CONSTANTS``.
     """
-    margin = CALIBRATION["margin"] if margin is None else margin
-    n_seeds = CALIBRATION["corpus_seeds"] if n_seeds is None else n_seeds
     ones = {}
     worst: dict[str, float] = {}
-    for i in range(n_seeds):
+    for i in range(CALIBRATION["corpus_seeds"]):
         for rec in corpus_records(i, constants=ones):
             if rec.check in ("caccioppoli", "weak_le_strong"):
                 continue  # asserted with stated constants, not swept
@@ -158,7 +157,7 @@ def run_sweep(margin: float | None = None, n_seeds: int | None = None) -> dict:
     for rec in auxiliary_records(constants=ones):
         key = _sweep_key(rec.check)
         worst[key] = max(worst.get(key, 0.0), rec.ratio)
-    return {k: _round_up_3sig(v * margin) for k, v in sorted(worst.items())}
+    return {k: _round_up_3sig(v * CALIBRATION["margin"]) for k, v in sorted(worst.items())}
 
 
 def _sweep_key(check: str) -> str:

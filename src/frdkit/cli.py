@@ -49,7 +49,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 
-_CONFIG_KEYS = {"coefficients", "plan", "sources", "output_dir"}
+_CONFIG_KEYS = {"coefficients", "plan", "sources"}
 _PLAN_KEYS = {"cube_sides", "range_radii", "solver_tol"}
 _PROBE_KEYS = {"direction_matrix", "steps", "level", "source", "scan_steps"}
 
@@ -69,7 +69,7 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def build_from_config(cfg: dict, tol: float | None = None):
+def build_from_config(cfg: dict):
     torus, spec = spec_from_config(cfg["coefficients"])
     A = make_perturbed(spec, torus)
     op = EllipticOperator(A)
@@ -81,8 +81,7 @@ def build_from_config(cfg: dict, tol: float | None = None):
     plan = DecompositionPlan(
         tuple(int(v) for v in plan_cfg.get("cube_sides", default.cube_sides)),
         tuple(float(v) for v in plan_cfg.get("range_radii", default.range_radii)),
-        float(tol if tol is not None else plan_cfg.get("solver_tol",
-                                                       default.solver_tol)),
+        float(plan_cfg.get("solver_tol", default.solver_tol)),
     )
     plan.validate_for(torus)
     sources = cfg.get("sources", [0])
@@ -94,11 +93,11 @@ def build_from_config(cfg: dict, tol: float | None = None):
 def cmd_decompose(args) -> int:
     try:
         cfg = load_config(args.config)
-        op, plan, sources = build_from_config(cfg, args.tol)
+        op, plan, sources = build_from_config(cfg)
         dec = build_decomposition(op, plan, sources)
         if args.seed is not None:
             dec.manifest["seed"] = int(args.seed)
-        out = Path(args.out or cfg.get("output_dir", "archive"))
+        out = Path(args.out or "archive")
         save_archive(dec, out)
     except (LatticeError, NonEllipticError, BudgetError,
             json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
@@ -221,7 +220,7 @@ def cmd_probe(args) -> int:
         unknown = set(pcfg) - _PROBE_KEYS
         if unknown:
             raise LatticeError(f"unknown probe keys: {sorted(unknown)}")
-        op, plan, _ = build_from_config(cfg, args.tol)
+        op, plan, _ = build_from_config(cfg)
         t = op.torus
         S = np.asarray(pcfg["direction_matrix"], dtype=np.float64)
         direction = CoefficientField.constant(t, S)
@@ -285,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run verification suites on an archive")
@@ -312,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="finite-difference coefficient sensitivity")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.set_defaults(func=cmd_probe)
     return parser
 

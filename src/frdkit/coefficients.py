@@ -103,17 +103,15 @@ def _multi_indices_upto(d: int, cap: int):
 def scaled_smoothness_norm(
     A: CoefficientField,
     reference: np.ndarray | None = None,
-    cap: int = MULTI_INDEX_CAP,
 ) -> float:
-    """Sup over sites and |b| <= cap of side^|b| * ||D^b (A - reference)(x)||.
+    """Sup over sites and |b| <= 3 of side^|b| * ||D^b (A - reference)(x)||.
 
-    The zero-order term is the plain sup of the spectral norm; differences use
-    forward stencils entrywise.  With ``reference`` set this measures the
-    deviation from a constant map, which is the smallness parameter used by
-    the decomposition bounds.
+    The order cap is fixed at ``MULTI_INDEX_CAP`` = 3, the C^3 smoothness
+    class of the coefficient fields.  The zero-order term is the plain sup of
+    the spectral norm; differences use forward stencils entrywise.  With
+    ``reference`` set this measures the deviation from a constant map, which
+    is the smallness parameter used by the decomposition bounds.
     """
-    if cap > MULTI_INDEX_CAP:
-        raise LatticeError(f"smoothness cap {cap} exceeds supported {MULTI_INDEX_CAP}")
     torus = A.torus
     md = torus.m * torus.d
     dev = A.values.reshape(torus.sites, md * md).copy()
@@ -122,7 +120,7 @@ def scaled_smoothness_norm(
         dev = dev - ref
     best = _spectral_norms(dev.reshape(torus.sites, md, md)).max()
     scale = float(torus.side)
-    for exps in _multi_indices_upto(torus.d, cap):
+    for exps in _multi_indices_upto(torus.d, MULTI_INDEX_CAP):
         diff = dev
         for axis, reps in enumerate(exps):
             for _ in range(reps):

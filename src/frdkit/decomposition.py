@@ -24,6 +24,7 @@ through the chains.
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
@@ -31,7 +32,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeError, LatticeField, LatticeTorus, column_blocks
+from .lattice import (
+    LatticeError,
+    LatticeField,
+    LatticeTorus,
+    column_blocks,
+    distances_from,
+)
 from .coefficients import export_table, import_table
 from .operators import DEFAULT_TOL, EllipticOperator, KernelColumn
 from .smoothing import AveragingOperator
@@ -225,7 +232,6 @@ class Decomposition:
         The last level carries no range claim; its mask uses the depth-level
         radius so its far-field variation can still be reported.
         """
-        from .lattice import distances_from
         t = self.op.torus
         radius = self.plan.range_radii[min(k, self.plan.depth) - 1]
         return distances_from(t, t.coords_of(source)) >= radius
@@ -370,8 +376,6 @@ def load_archive(directory: Path | str) -> Decomposition:
     manifest key and the archived coefficients.  Any mismatch, or a manifest
     field missing or of the wrong type, raises ``IntegrityError``.
     """
-    import json
-
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())

@@ -145,8 +145,9 @@ class LatticeField:
                 )
 
     @staticmethod
-    def zeros(torus: LatticeTorus, mean_zero: bool = True) -> "LatticeField":
-        return LatticeField(torus, np.zeros((torus.sites, torus.m)), mean_zero)
+    def zeros(torus: LatticeTorus) -> "LatticeField":
+        """The zero field, tagged mean-zero."""
+        return LatticeField(torus, np.zeros((torus.sites, torus.m)), True)
 
     def project_mean_zero(self) -> "LatticeField":
         return LatticeField(self.torus, self.values - self.values.mean(axis=0), True)
@@ -185,13 +186,6 @@ def distances_from(torus: LatticeTorus, x0) -> np.ndarray:
     """(sites,) sup-distance from the site x0, in row-major site order."""
     delta = np.abs(torus.all_coords() - torus.wrap(x0)[None, :])
     return np.minimum(delta, torus.side - delta).max(axis=1)
-
-
-def set_distance(torus: LatticeTorus, x, site_indices: np.ndarray) -> int:
-    """Sup-distance from a site to a set of sites (linear indices)."""
-    coords = torus.all_coords()[np.asarray(site_indices, dtype=np.int64)]
-    delta = np.abs(coords - torus.wrap(x)[None, :])
-    return int(np.minimum(delta, torus.side - delta).max(axis=1).min())
 
 
 # ---------------------------------------------------------------------------
@@ -298,15 +292,3 @@ def cube_sites(torus: LatticeTorus, anchor, side_length: int) -> np.ndarray:
     grid = np.arange(torus.sites, dtype=np.int64).reshape(torus.shape)
     rolled = np.roll(grid, tuple(-torus.wrap(anchor)), axis=tuple(range(torus.d)))
     return rolled[(slice(0, side_length),) * torus.d].ravel()
-
-
-def closure(torus: LatticeTorus, site_indices: np.ndarray) -> np.ndarray:
-    """All sites within sup-distance 1 of the given set (sorted, unique)."""
-    coords = torus.all_coords()[np.asarray(site_indices, dtype=np.int64)]
-    shifts = np.array(list(product((-1, 0, 1), repeat=torus.d)), dtype=np.int64)
-    grown = (coords[:, None, :] + shifts[None, :, :]) % torus.side
-    grown = grown.reshape(-1, torus.d)
-    lin = np.zeros(grown.shape[0], dtype=np.int64)
-    for j in range(torus.d):
-        lin = lin * torus.side + grown[:, j]
-    return np.unique(lin)

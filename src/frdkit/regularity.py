@@ -34,6 +34,7 @@ from .lattice import (
     cube_sites,
     cube_windows,
     distances_from,
+    divergence_star_raw,
     forward_diff_raw,
     gradient_stack_raw,
 )
@@ -169,8 +170,8 @@ def sharp_values(phi: LatticeField, max_side: int | None = None) -> np.ndarray:
     return t.to_flat(best).ravel()
 
 
-def bmo_norm(phi: LatticeField, max_side: int | None = None) -> float:
-    return float(sharp_values(phi, max_side).max())
+def bmo_norm(phi: LatticeField) -> float:
+    return float(sharp_values(phi).max())
 
 
 def _in_cube(phi: LatticeField, cube: Cube, sharp: bool) -> np.ndarray:
@@ -241,7 +242,6 @@ def sobolev_check(
     if n < 1:
         raise LatticeError("sobolev check needs a cube with at least 2 sites per axis")
     vals = phi.values
-    grad = gradient_stack_raw(t, vals)
 
     if case == "i":
         if p is None or q is None:
@@ -252,6 +252,7 @@ def sobolev_check(
         if q > pstar or math.isinf(q):
             raise LatticeError(f"case i needs q <= p* = {pstar}, got q={q}")
         lhs = n ** (-d / q) * cube_lp_sum(vals, idx, q)
+        grad = gradient_stack_raw(t, vals)
         rhs = (n ** (-d / 2) * cube_lp_sum(vals, idx, 2)
                + n ** (1 - d / p) * cube_lp_sum(grad, idx, p))
         key = "sobolev_i"
@@ -263,6 +264,7 @@ def sobolev_check(
         sub = vals[idx]
         diff = sub[:, None, :] - sub[None, :, :]  # all pairs in the cube
         lhs = float(np.sqrt((diff ** 2).sum(axis=-1)).max())
+        grad = gradient_stack_raw(t, vals)
         rhs = n ** (1 - d / p) * cube_lp_sum(grad, idx, p)
         key = "sobolev_ii"
     elif case == "iii":
@@ -307,12 +309,12 @@ def sobolev_check(
 
 
 def require_harmonic(op: EllipticOperator, u: LatticeField,
-                     cube_idx: np.ndarray, rtol: float = HARMONIC_RTOL) -> None:
+                     cube_idx: np.ndarray) -> None:
     res = site_magnitudes(op.apply_raw(u.values)[cube_idx]).max(initial=0.0)
     scale = op.c1 * 4 * op.torus.d * max(site_magnitudes(u.values).max(), 1e-300)
-    if res > rtol * scale:
+    if res > HARMONIC_RTOL * scale:
         raise NotHarmonicError(
-            f"residual {res:.3e} on the cube exceeds {rtol:.1e} * {scale:.3e}"
+            f"residual {res:.3e} on the cube exceeds {HARMONIC_RTOL:.1e} * {scale:.3e}"
         )
 
 
@@ -322,19 +324,17 @@ def harmonic_extension(op: EllipticOperator, cube: Cube,
     return CubeProjector(op, cube).complement(phi)
 
 
-def green_pair_difference(op: EllipticOperator, y1, y2,
-                          tol: float | None = None) -> LatticeField:
+def green_pair_difference(op: EllipticOperator, y1, y2) -> LatticeField:
     """Difference of two Green slices: harmonic away from the two sources.
 
     The uniform backgrounds of the two kernel equations cancel, so this is a
     genuinely harmonic field outside {y1, y2}.
     """
-    from .operators import DEFAULT_TOL
     t = op.torus
     rhs = np.zeros((t.sites, t.m))
     rhs[t.index_of(y1) if not isinstance(y1, (int, np.integer)) else y1, 0] += 1.0
     rhs[t.index_of(y2) if not isinstance(y2, (int, np.integer)) else y2, 0] -= 1.0
-    u, _ = op.solve_green_raw(rhs, tol if tol else DEFAULT_TOL)
+    u, _ = op.solve_green_raw(rhs)
     return LatticeField(t, u, True)
 
 
@@ -343,15 +343,13 @@ def caccioppoli_check(
     u: LatticeField,
     cube_outer: Cube,
     cube_inner: Cube,
-    lam: float | None = None,
-    slack: float = 2.0,
 ) -> NormReport:
     """Interior gradient bound for a field harmonic on the outer cube.
 
     Asserts
-        sum_{inner} |grad u|^2 <= slack * c0^4 / (M - m)^2 * sum_{outer} |u - lam|^2
-    with c0 the ellipticity lower bound and M, m the cube edges; ``lam``
-    defaults to the outer-cube mean.  The factor-2 slack covers the discrete
+        sum_{inner} |grad u|^2 <= 2 * c0^4 / (M - m)^2 * sum_{outer} |u - lam|^2
+    with c0 the ellipticity lower bound, M, m the cube edges and lam the
+    outer-cube mean.  The slack is fixed at 2, which covers the discrete
     cutoff in the stated constant.
     """
     t = op.torus
@@ -362,8 +360,7 @@ def caccioppoli_check(
     if not np.isin(inner_idx, outer_idx).all():
         raise LatticeError("inner cube is not contained in the outer cube")
     require_harmonic(op, u, outer_idx)
-    if lam is None:
-        lam = u.values[outer_idx].mean(axis=0)
+    lam = u.values[outer_idx].mean(axis=0)
     grad = gradient_stack_raw(t, u.values)
     lhs = float((site_magnitudes(grad[inner_idx]) ** 2).sum())
     osc = float((site_magnitudes(u.values[outer_idx] - lam) ** 2).sum())
@@ -379,7 +376,7 @@ def caccioppoli_check(
         },
         lhs=lhs,
         rhs=rhs,
-        constant=slack,
+        constant=2.0,
     )
 
 
@@ -502,7 +499,6 @@ def _local_dirichlet_solve(op: EllipticOperator, cube: Cube,
 
 def divergence_source(op: EllipticOperator, fmat: np.ndarray) -> np.ndarray:
     """Adjoint-divergence of a matrix field (sites, m, d): the div f source."""
-    from .lattice import divergence_star_raw
     return divergence_star_raw(op.torus, fmat)
 
 
@@ -547,16 +543,15 @@ def weak_interpolation_check(
     op: EllipticOperator,
     cube: Cube,
     fmat: np.ndarray,
-    p: float = 2.0,
-    q: float = 2.0,
     constant: float | None = None,
 ) -> NormReport:
     """Weak-norm bound for the cube solution operator f -> grad u.
 
     The operator is the concrete composition used by the global estimate
     (Dirichlet solve of div f on the cube); interpolation predicts a weak
-    (p, q) bound between its strong-type endpoints.
+    (2, 2) bound between its strong-type endpoints.
     """
+    p = q = 2.0
     t = op.torus
     u = _local_dirichlet_solve(op, cube, divergence_source(op, fmat))
     idx = cube_sites(t, cube.anchor, cube.side_length)
@@ -605,19 +600,18 @@ def cube_depth(torus: LatticeTorus, cube: Cube) -> np.ndarray:
     return np.where(inside, exit_dist, 0)
 
 
-def green_decay_check(column: KernelColumn, j: int = 0,
-                      max_dist: int | None = None) -> NormReport:
+def green_decay_check(column: KernelColumn, j: int = 0) -> NormReport:
     """Boundedness of |grad^j K| * dist^(d-2+j) away from the source.
 
-    Reported with the observed constant; the hard assertion for the Green
-    kernel is ray monotonicity, checked by ``ray_monotone_check``.
+    Taken over sup-distances 1 to (side - 1) // 2 and reported with the
+    observed constant, never asserted.
     """
     t = column.torus
     if t.d < 3:
         raise LatticeError("green decay check needs d >= 3")
     dist = distances_from(t, t.coords_of(column.source))
     vals = _grad_sup(t, column.values.reshape(t.sites, -1), j)
-    lim = (t.side - 1) // 2 if max_dist is None else max_dist
+    lim = (t.side - 1) // 2
     mask = (dist >= 1) & (dist <= lim)
     prod = vals[mask] * dist[mask].astype(np.float64) ** (t.d - 2 + j)
     return NormReport(
@@ -631,34 +625,11 @@ def green_decay_check(column: KernelColumn, j: int = 0,
     )
 
 
-def ray_monotone_check(column: KernelColumn, axis: int = 0,
-                       component: tuple[int, int] = (0, 0)) -> NormReport:
-    """Strict decrease of the kernel slice along one coordinate ray."""
-    t = column.torus
-    src = np.array(t.coords_of(column.source))
-    lim = (t.side - 1) // 2
-    vals = []
-    for step in range(1, lim + 1):
-        coords = src.copy()
-        coords[axis] += step
-        vals.append(column.values[t.index_of(coords)][component])
-    drops = [b < a for a, b in zip(vals, vals[1:])]
-    return NormReport(
-        "green_ray_monotone",
-        {"axis": axis, "source": column.source, "steps": lim},
-        0.0 if all(drops) else 1.0,
-        0.0,
-        constant=1.0,
-        extra={"values": [float(v) for v in vals]},
-    )
-
-
 def projection_bound_check(
     op: EllipticOperator,
     cubes: list[Cube],
     x0,
     j: int = 0,
-    tol: float | None = None,
     constant: float | None = None,
 ) -> NormReport:
     """Sup bound for iterated cube-complement projections of a Green slice.
@@ -669,12 +640,11 @@ def projection_bound_check(
     where depth is the sup-distance to each cube complement.  The distance
     floor is one lattice spacing.
     """
-    from .operators import DEFAULT_TOL
     t = op.torus
     if t.d < 3:
         raise LatticeError("projection bound needs d >= 3")
     source = x0 if isinstance(x0, (int, np.integer)) else t.index_of(x0)
-    col = op.green_column(source, tol if tol else DEFAULT_TOL)
+    col = op.green_column(source)
     u = col.values[:, :, 0]
     for cube in cubes:
         proj = CubeProjector(op, cube)

@@ -8,6 +8,7 @@ fitted constants and degenerate cases.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -98,8 +99,6 @@ def write_jsonl(records, path: Path | str) -> None:
     lines = []
     for rec in records:
         obj = rec.to_json() if hasattr(rec, "to_json") else rec
-        import json
-
         lines.append(json.dumps(obj, sort_keys=True))
     tableio.atomic_write_text(Path(path), "\n".join(lines) + ("\n" if lines else ""))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeError
+from .lattice import LatticeError, divergence_star_raw, gradient_stack_raw
 from .coefficients import (
     CoefficientField,
     ellipticity_constants,
@@ -130,24 +130,20 @@ def green_derivative_estimate(probe: DirectionalProbe) -> tuple[np.ndarray, dict
 
 
 def green_derivative_oracle(probe: DirectionalProbe) -> np.ndarray:
-    """Exact first-order change of the Green slice: -(solve, direction-apply, solve)."""
+    """Exact first-order change of the Green slice: -(solve, direction-apply, solve).
+
+    One block solve gives the slice's m unit-source columns, and one more
+    solves the direction's images of all of them.
+    """
     t = probe.base.torus
     op = EllipticOperator(probe.base)
-    dir_op_vals = probe.direction.values
-    out = np.zeros((t.sites, t.m, t.m))
-    for a in range(t.m):
-        rhs = np.zeros((t.sites, t.m))
-        rhs[probe.source, a] = 1.0
-        rhs -= rhs.mean(axis=0)
-        g, _ = op.solve_green_raw(rhs, probe.tol)
-        # apply the direction's divergence-form operator to the slice
-        from .lattice import divergence_star_raw, gradient_stack_raw
-        G = gradient_stack_raw(t, g).reshape(t.sites, t.m * t.d)
-        F = np.einsum("spq,sq->sp", dir_op_vals, G).reshape(t.sites, t.m, t.d)
-        w = divergence_star_raw(t, F)
-        du, _ = op.solve_green_raw(-w, probe.tol)
-        out[:, :, a] = du
-    return out
+    g = op.green_column(probe.source, probe.tol).values
+    # apply the direction's divergence-form operator to every column
+    G = gradient_stack_raw(t, g).reshape(t.sites, t.m * t.d, t.m)
+    F = np.einsum("spq,sqb->spb", probe.direction.values, G)
+    w = divergence_star_raw(t, F.reshape(t.sites, t.m, t.d, t.m))
+    du, _ = op.solve_green_raw(-w, probe.tol)
+    return du
 
 
 def lipschitz_scan(probe: DirectionalProbe) -> dict:

@@ -345,12 +345,10 @@ class AveragingOperator:
         self._check(phi)
         return LatticeField(self.op.torus, self.fluctuation_raw(phi.values))
 
-    def fluctuation_dual(self, phi: LatticeField,
-                         tol: float | None = None) -> LatticeField:
+    def fluctuation_dual(self, phi: LatticeField) -> LatticeField:
         """Conjugated complement: solve, take the fluctuation, re-apply."""
         self._check(phi)
-        from .operators import DEFAULT_TOL
-        u, _ = self.op.solve_green_raw(phi.values, tol if tol else DEFAULT_TOL)
+        u, _ = self.op.solve_green_raw(phi.values)
         return LatticeField(
             self.op.torus, self.op.apply_raw(self.fluctuation_raw(u)), True
         )

@@ -2,10 +2,10 @@
 
 Each suite returns report records; asserted records drive exit codes, while
 reported-only records carry fitted constants and degenerate cases (empty far
-regions, single-level decay fits).  Slacks follow the declared defaults: far
-fields are compared against ``100 * depth * solver_tol`` times the kernel sup
-unless a stricter threshold is requested, and reconstruction against an
-absolute relative error.
+regions, single-level decay fits).  Slacks are fixed: far fields are compared
+against ``100 * depth * solver_tol`` times the kernel sup, reconstruction
+against the relative error ``RECONSTRUCTION_RTOL``, and Rayleigh quotients and
+dense eigenvalues against ``-POSITIVITY_SLACK``.
 """
 
 from __future__ import annotations
@@ -23,17 +23,16 @@ POSITIVITY_SLACK = 1e-7
 DEFAULT_PROBES = 200
 
 
-def range_suite(dec: Decomposition, slack_factor: float | None = None) -> list[NormReport]:
+def range_suite(dec: Decomposition) -> list[NormReport]:
     """Far-field constancy of every ranged level at every stored source."""
     depth = dec.plan.depth
-    tol = dec.plan.solver_tol
+    slack = 100 * depth * dec.plan.solver_tol
     records = []
     sources = sorted({s for (_, s) in dec.kernels}) or [0]
     for k in range(1, dec.plan.levels + 1):
         for s in sources:
             stats = dec.far_field_stats(k, s)
             ranged = k <= depth
-            slack = (100 * depth * tol if slack_factor is None else slack_factor)
             records.append(NormReport(
                 check="finite_range",
                 params={"level": k, "source": s, "far_sites": stats["far_sites"]},
@@ -63,7 +62,7 @@ def _solve_extra(reports) -> dict:
 
 
 def reconstruction_suite(dec: Decomposition, n_probes: int = 50,
-                         seed: int = 0, rtol: float = RECONSTRUCTION_RTOL) -> list[NormReport]:
+                         seed: int = 0) -> list[NormReport]:
     """Sum of all levels against one Green solve on random mean-zero fields."""
     t = dec.op.torus
     phi = _probe_block(t, n_probes, seed)
@@ -79,14 +78,14 @@ def reconstruction_suite(dec: Decomposition, n_probes: int = 50,
         check="reconstruction",
         params={"probes": n_probes, "seed": seed},
         lhs=worst,
-        rhs=rtol,
+        rhs=RECONSTRUCTION_RTOL,
         constant=1.0,
         extra={"levels": dec.plan.levels, **_solve_extra(reports)},
     )]
 
 
 def positivity_suite(dec: Decomposition, n_probes: int = DEFAULT_PROBES,
-                     seed: int = 1, slack: float = POSITIVITY_SLACK) -> list[NormReport]:
+                     seed: int = 1) -> list[NormReport]:
     """Rayleigh quotients on random probes; dense smallest eigenvalue when small."""
     t = dec.op.torus
     phi = _probe_block(t, n_probes, seed)
@@ -107,7 +106,7 @@ def positivity_suite(dec: Decomposition, n_probes: int = DEFAULT_PROBES,
             check="positivity_rayleigh",
             params={"level": k, "probes": n_probes, "seed": seed},
             lhs=-worst[k] if worst[k] < 0 else 0.0,
-            rhs=slack,
+            rhs=POSITIVITY_SLACK,
             constant=1.0,
             extra={"min_rayleigh": worst[k], **solve},
         ))
@@ -119,7 +118,7 @@ def positivity_suite(dec: Decomposition, n_probes: int = DEFAULT_PROBES,
                 check="positivity_dense_eig",
                 params={"level": k, "dim": mat.shape[0]},
                 lhs=-eig if eig < 0 else 0.0,
-                rhs=slack,
+                rhs=POSITIVITY_SLACK,
                 constant=1.0,
                 extra={"min_eigenvalue": eig, **dense_solve},
             ))
@@ -154,13 +153,14 @@ def dense_level_matrices(dec: Decomposition, with_report: bool = False):
     return (mats, _solve_extra(reports)) if with_report else mats
 
 
-def decay_suite(dec: Decomposition, alpha_orders=(0, 1),
-                slope_slack: float = 1.0) -> list:
-    """Strict level decay plus fitted slopes; report-only when under-determined."""
+def decay_suite(dec: Decomposition) -> list:
+    """Strict level decay plus fitted slopes of the values and first
+    differences; report-only when under-determined."""
     sources = sorted({s for (_, s) in dec.kernels}) or [0]
-    report = regularity.level_decay_report(dec, sources, alpha_orders, slope_slack)
+    orders = (0, 1)
+    report = regularity.level_decay_report(dec, sources, orders)
     records: list = [report]
-    for a in alpha_orders:
+    for a in orders:
         vals = report.maxima[a]
         decreasing = report.strictly_decreasing(a)
         records.append(NormReport(

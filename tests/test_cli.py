@@ -64,7 +64,7 @@ class TestDecompose:
         assert main(["decompose", "--config", cfg,
                      "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("key", ["threads", "seed"])
+    @pytest.mark.parametrize("key", ["threads", "seed", "output_dir"])
     def test_removed_config_keys_rejected(self, tmp_path, capsys, key):
         cfg = write_config(tmp_path, dict(BASE_CONFIG, **{key: 1}))
         assert main(["decompose", "--config", cfg,
@@ -73,7 +73,9 @@ class TestDecompose:
         assert err["error"] == "config" and key in err["message"]
 
     @pytest.mark.parametrize("argv", [["decompose", "--threads", "2"],
-                                      ["probe", "--seed", "2"]])
+                                      ["probe", "--seed", "2"],
+                                      ["decompose", "--tol", "1e-8"],
+                                      ["probe", "--tol", "1e-8"]])
     def test_removed_flags_rejected(self, tmp_path, argv):
         cfg = write_config(tmp_path, BASE_CONFIG)
         with pytest.raises(SystemExit) as err:

@@ -11,7 +11,6 @@ from frdkit import (
     LatticeTorus,
     MultiIndex,
     backward_diff,
-    closure,
     cube_sites,
     dist_inf,
     forward_diff,
@@ -100,14 +99,6 @@ class TestGeometry:
         for idx in range(t.sites):
             assert table[idx] == dist_inf(t.coords_of(idx), (2, 7), t)
         assert table.max() <= t.side // 2
-
-    def test_set_distance(self):
-        from frdkit.lattice import set_distance
-        t = LatticeTorus(2, 1, 3, 2)
-        members = cube_sites(t, (3, 3), 2)
-        for x in [(0, 0), (3, 3), (4, 5), (8, 8)]:
-            expect = min(dist_inf(x, t.coords_of(i), t) for i in members)
-            assert set_distance(t, x, members) == expect
 
 
 class TestFields:
@@ -213,27 +204,17 @@ class TestCubes:
         t = LatticeTorus(2, 1, 3, 1)
         idx = cube_sites(t, (0, 0), 3)
         assert sorted(idx) == list(range(9))
-        assert sorted(closure(t, idx)) == list(range(9))
 
     def test_singleton_closure(self):
         t = LatticeTorus(2, 1, 3, 2)
         idx = cube_sites(t, (4, 4), 1)
         assert idx.size == 1
-        assert closure(t, idx).size == 3 ** 2
 
     def test_derived_closure_count(self):
-        # 3-cube at the origin: 9 sites, 1-neighborhood hull has 25
+        # 3-cube at the origin: 9 sites
         t = LatticeTorus(2, 1, 3, 2)
         idx = cube_sites(t, (0, 0), 3)
         assert idx.size == 9
-        hull = closure(t, idx)
-        assert hull.size == 25
-        # oracle: all sites within sup-distance 1 of the cube
-        expect = {
-            i for i in range(t.sites)
-            if min(dist_inf(t.coords_of(i), t.coords_of(j), t) for j in idx) <= 1
-        }
-        assert set(hull.tolist()) == expect
 
     def test_wrapped_cube(self):
         t = LatticeTorus(2, 1, 3, 2)
