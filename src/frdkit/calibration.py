@@ -4,8 +4,9 @@ The corpus fixes, per dimension, one perturbed-coefficient operator on a
 side-9 torus and a family of nested cubes; each seed contributes random test
 fields and the harmonic extensions derived from them.  ``corpus_records``
 evaluates every suite check for one seed against the frozen constants;
-``run_sweep`` evaluates the same corpus, takes the worst observed lhs/rhs
-ratio per check, and applies the safety margin.  Freezing the swept values in
+``run_sweep`` reads the same records, takes the worst observed lhs/rhs ratio
+per check (a ratio does not depend on the constant it is compared against),
+and applies the safety margin.  Freezing the swept values in
 ``constants.py`` turns the up-to-constants estimates into reproducible
 assertions without inventing numbers the estimates do not state.
 """
@@ -68,15 +69,8 @@ def _context(d: int) -> _CorpusContext:
     return _CONTEXTS[d]
 
 
-def corpus_records(seed_index: int, constants: dict | None = None) -> list:
-    """All regularity-suite checks for one corpus seed, both dimensions.
-
-    ``constants`` overrides the frozen constants (the sweep passes 1.0 so the
-    recorded ratios are the raw lhs/rhs values).
-    """
-    def C(key):
-        return None if constants is None else constants.get(key, 1.0)
-
+def corpus_records(seed_index: int) -> list:
+    """All regularity-suite checks for one corpus seed, both dimensions."""
     records = []
     for d in (2, 3):
         ctx = _context(d)
@@ -84,35 +78,20 @@ def corpus_records(seed_index: int, constants: dict | None = None) -> list:
         f = ctx.random_field(rng)
         u = ctx.harmonic_field(rng)
 
-        records.append(regularity.sobolev_check(
-            f, "i", ctx.work_cube, p=2.0, q=3.0, constant=C("sobolev_i")))
-        records.append(regularity.sobolev_check(
-            f, "ii", ctx.work_cube, p=float(d + 2), constant=C("sobolev_ii")))
-        records.append(regularity.sobolev_check(
-            f, "iv", ctx.work_cube, constant=C("sobolev_iv")))
+        records.append(regularity.sobolev_check(f, "i", ctx.work_cube, p=2.0, q=3.0))
+        records.append(regularity.sobolev_check(f, "ii", ctx.work_cube, p=float(d + 2)))
+        records.append(regularity.sobolev_check(f, "iv", ctx.work_cube))
         records.append(regularity.caccioppoli_check(ctx.op, u, ctx.outer, ctx.inner))
-        dm, do = regularity.decay_estimate_check(
-            ctx.op, u, ctx.outer, ctx.inner,
-            constants=None if constants is None
-            else (C("decay_mass"), C("decay_osc")))
-        records.extend([dm, do])
-        records.append(regularity.hardy_littlewood_check(
-            f, 2.0, constant=C("hardy_littlewood_p2")))
-        fs_fwd, fs_rev = regularity.fefferman_stein_check(
-            f, ctx.fs_cube, 2.0,
-            constants=None if constants is None
-            else (C("fefferman_stein_fwd"), C("fefferman_stein_rev")))
-        records.extend([fs_fwd, fs_rev])
+        records.extend(regularity.decay_estimate_check(ctx.op, u, ctx.outer, ctx.inner))
+        records.append(regularity.hardy_littlewood_check(f))
+        records.extend(regularity.fefferman_stein_check(f, ctx.fs_cube))
         records.append(regularity.weak_vs_strong_check(f, 2.0))
     return records
 
 
-def auxiliary_records(constants: dict | None = None) -> list:
+def auxiliary_records() -> list:
     """Smaller sweeps for the solve-backed checks (cube problems, projections):
     20 seeds per dimension."""
-    def C(key):
-        return None if constants is None else constants.get(key, 1.0)
-
     records = []
     for d in (2, 3):
         ctx = _context(d)
@@ -123,20 +102,17 @@ def auxiliary_records(constants: dict | None = None) -> list:
             fmat = rng.standard_normal((t.sites, t.m, t.d))
             g = rng.standard_normal((t.sites, t.m))
             records.append(regularity.weak_interpolation_check(
-                ctx.op, ctx.work_cube, fmat, constant=C("weak_interpolation")))
+                ctx.op, ctx.work_cube, fmat))
             if d == 3:
                 records.append(regularity.global_estimate_check(
-                    ctx.op, ctx.work_cube, fmat, g, p=2.5, q=1.5,
-                    constant=C("global_estimate")))
+                    ctx.op, ctx.work_cube, fmat, g, p=2.5, q=1.5))
                 records.append(regularity.sobolev_check(
                     ctx.random_field(rng), "iii", ctx.work_cube,
-                    p=1.0, q=2.0, order=2, constant=C("sobolev_iii")))
+                    p=1.0, q=2.0, order=2))
     ctx3 = _context(3)
-    for k, cubes in enumerate(([],
-                               [Cube((2, 2, 2), 5)],
-                               [Cube((2, 2, 2), 5), Cube((3, 3, 3), 3)])):
+    for cubes in ([], [Cube((2, 2, 2), 5)], [Cube((2, 2, 2), 5), Cube((3, 3, 3), 3)]):
         records.append(regularity.projection_bound_check(
-            ctx3.op, cubes, (0, 0, 0), j=0, constant=C("projection_bound")))
+            ctx3.op, cubes, (0, 0, 0), j=0))
     return records
 
 
@@ -146,15 +122,12 @@ def run_sweep() -> dict:
     The seed count and margin are ``CALIBRATION``'s.  Returns the dict to
     freeze into ``constants.SWEPT_CONSTANTS``.
     """
-    ones = {}
     worst: dict[str, float] = {}
-    for i in range(CALIBRATION["corpus_seeds"]):
-        for rec in corpus_records(i, constants=ones):
-            if rec.check in ("caccioppoli", "weak_le_strong"):
-                continue  # asserted with stated constants, not swept
-            key = _sweep_key(rec.check)
-            worst[key] = max(worst.get(key, 0.0), rec.ratio)
-    for rec in auxiliary_records(constants=ones):
+    records = [rec for i in range(CALIBRATION["corpus_seeds"])
+               for rec in corpus_records(i)]
+    for rec in records + auxiliary_records():
+        if rec.check in ("caccioppoli", "weak_le_strong"):
+            continue  # asserted with stated constants, not swept
         key = _sweep_key(rec.check)
         worst[key] = max(worst.get(key, 0.0), rec.ratio)
     return {k: _round_up_3sig(v * CALIBRATION["margin"]) for k, v in sorted(worst.items())}

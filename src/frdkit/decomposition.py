@@ -53,9 +53,12 @@ BLOCK_BYTES = 16 << 20
 def default_cube_sides(L: int, N: int) -> tuple[int, ...]:
     """Cube side ``L**(k-1)`` for level k, capped at the torus side.
 
-    The kernel of level k spreads at most one cube diameter on each side of
-    the smoothing sandwich, so keeping the cube a factor ~L/2 below the
-    claimed range radius ``L**k / 2`` is what makes the far field flat.
+    A fluctuation with cube side l widens a kernel's support by l (l - 1 from
+    the local solve, 1 from the stencil), and level k applies two of each
+    side l_1, ..., l_k, so its kernel is constant from sup-distance
+    R_k = 2(l_1 + ... + l_k) on.  With these sides R_k = 2(L**k - 1)/(L - 1),
+    which lies within the claimed range radius ``L**k / 2`` only for L >= 5:
+    for L = 3, level 2 is flat from 8, not from 4.5.
     """
     side = L ** N
     return tuple(min(L ** (k - 1), side) for k in range(1, N + 1))

@@ -220,11 +220,20 @@ def backward_diff(phi: LatticeField, axis: int) -> LatticeField:
     return LatticeField(phi.torus, out, True)
 
 
-def grad_multi(phi: LatticeField, alpha: MultiIndex | tuple[int, ...]) -> LatticeField:
+def grad_multi_raw(torus: LatticeTorus, flat: np.ndarray, exponents) -> np.ndarray:
     """Repeated forward differences per axis, applied in ascending axis order.
 
     Shift operators commute, so the axis order is a pure convention.
     """
+    out = flat
+    for axis, reps in enumerate(exponents):
+        for _ in range(reps):
+            out = forward_diff_raw(torus, out, axis)
+    return out
+
+
+def grad_multi(phi: LatticeField, alpha: MultiIndex | tuple[int, ...]) -> LatticeField:
+    """``grad_multi_raw`` of a field, for a multi-index within the order cap."""
     if not isinstance(alpha, MultiIndex):
         alpha = MultiIndex(tuple(alpha))
     torus = phi.torus
@@ -232,10 +241,7 @@ def grad_multi(phi: LatticeField, alpha: MultiIndex | tuple[int, ...]) -> Lattic
         raise LatticeError(
             f"multi-index has {len(alpha.exponents)} axes, torus has {torus.d}"
         )
-    out = phi.values
-    for axis, reps in enumerate(alpha.exponents):
-        for _ in range(reps):
-            out = forward_diff_raw(torus, out, axis)
+    out = grad_multi_raw(torus, phi.values, alpha.exponents)
     return LatticeField(torus, out, alpha.order > 0 or phi.mean_zero)
 
 

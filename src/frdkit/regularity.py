@@ -5,8 +5,8 @@ maximal and sharp functions, BMO, the discrete Sobolev embeddings, interior
 (Caccioppoli) and decay estimates for locally harmonic fields, sup bounds for
 iterated cube-complement projections of Green slices, and the per-level
 kernel decay tabulation.  Checks whose constants the source estimates leave
-implicit compare against constants frozen by a documented corpus sweep (see
-``calibrate`` and ``constants.SWEPT_CONSTANTS``); the interior estimate is the
+implicit read them from ``constants.SWEPT_CONSTANTS``, frozen by a documented
+corpus sweep (``calibration.run_sweep``); the interior estimate is the
 one check asserted with its stated constant, at a declared factor-2 slack for
 the discrete cutoff.
 
@@ -36,6 +36,7 @@ from .lattice import (
     distances_from,
     divergence_star_raw,
     forward_diff_raw,
+    grad_multi_raw,
     gradient_stack_raw,
 )
 from .operators import EllipticOperator, KernelColumn
@@ -227,7 +228,6 @@ def sobolev_check(
     p: float | None = None,
     q: float | None = None,
     order: int | None = None,
-    constant: float | None = None,
 ) -> NormReport:
     """One of the four discrete Sobolev-type embeddings on a cube.
 
@@ -294,13 +294,12 @@ def sobolev_check(
     else:
         raise LatticeError(f"unknown sobolev case {case!r}")
 
-    C = SWEPT_CONSTANTS[key] if constant is None else constant
     return NormReport(
         check=key,
         params={"d": d, "edge": n, "p": p, "q": q, "order": order},
         lhs=lhs,
         rhs=rhs,
-        constant=C,
+        constant=SWEPT_CONSTANTS[key],
     )
 
 
@@ -385,7 +384,6 @@ def decay_estimate_check(
     u: LatticeField,
     cube_outer: Cube,
     cube_inner: Cube,
-    constants: tuple[float, float] | None = None,
 ) -> tuple[NormReport, NormReport]:
     """Mass and oscillation decay of a harmonic field on nested cubes.
 
@@ -403,8 +401,6 @@ def decay_estimate_check(
     if not np.isin(inner_idx, outer_idx).all():
         raise LatticeError("inner cube is not contained in the outer cube")
     require_harmonic(op, u, outer_idx)
-    if constants is None:
-        constants = (SWEPT_CONSTANTS["decay_mass"], SWEPT_CONSTANTS["decay_osc"])
     ratio = em / eM
     mass_in = float((site_magnitudes(u.values[inner_idx]) ** 2).sum())
     mass_out = float((site_magnitudes(u.values[outer_idx]) ** 2).sum())
@@ -419,9 +415,9 @@ def decay_estimate_check(
     params = {"d": t.d, "outer": cube_outer.side_length,
               "inner": cube_inner.side_length}
     mass = NormReport("decay_mass", params, mass_in,
-                      ratio ** t.d * mass_out, constants[0])
+                      ratio ** t.d * mass_out, SWEPT_CONSTANTS["decay_mass"])
     osc = NormReport("decay_osc", params, osc_in,
-                     ratio ** (t.d + 2) * osc_out, constants[1])
+                     ratio ** (t.d + 2) * osc_out, SWEPT_CONSTANTS["decay_osc"])
     return mass, osc
 
 
@@ -429,22 +425,24 @@ def decay_estimate_check(
 # maximal-function theorems
 
 
-def hardy_littlewood_check(phi: LatticeField, p: float = 2.0,
-                           constant: float | None = None) -> NormReport:
-    """Strong-type bound of the maximal function against the field norm."""
+def hardy_littlewood_check(phi: LatticeField) -> NormReport:
+    """Strong-type (2, 2) bound of the maximal function against the field norm.
+
+    The constant was swept at p = 2, so p is fixed there.
+    """
+    p = 2.0
     mvals = maximal_values(phi)
     lhs = float((mvals ** p).sum() ** (1 / p))
     rhs = float((site_magnitudes(phi.values) ** p).sum() ** (1 / p))
-    C = SWEPT_CONSTANTS["hardy_littlewood_p2"] if constant is None else constant
     return NormReport("hardy_littlewood", {"p": p, "d": phi.torus.d},
-                      lhs, rhs, C)
+                      lhs, rhs, SWEPT_CONSTANTS["hardy_littlewood_p2"])
 
 
-def fefferman_stein_check(
-    phi: LatticeField, cube: Cube, p: float = 2.0,
-    constants: tuple[float, float] | None = None,
-) -> tuple[NormReport, NormReport]:
-    """Two-sided comparability of maximal and sharp norms for cube-mean-zero data."""
+def fefferman_stein_check(phi: LatticeField,
+                          cube: Cube) -> tuple[NormReport, NormReport]:
+    """Two-sided comparability of maximal and sharp L^2 norms for cube-mean-zero
+    data; the constants were swept at p = 2, so p is fixed there."""
+    p = 2.0
     t = phi.torus
     idx = cube_sites(t, cube.anchor, cube.side_length)
     centered = phi.values.copy()
@@ -454,12 +452,11 @@ def fefferman_stein_check(
     svals = sharp_values_in_cube(f, cube)
     m_norm = float((np.mean(mvals ** p)) ** (1 / p))
     s_norm = float((np.mean(svals ** p)) ** (1 / p))
-    if constants is None:
-        constants = (SWEPT_CONSTANTS["fefferman_stein_fwd"],
-                     SWEPT_CONSTANTS["fefferman_stein_rev"])
     params = {"p": p, "d": t.d, "cube": cube.side_length}
-    fwd = NormReport("fefferman_stein_fwd", params, m_norm, s_norm, constants[0])
-    rev = NormReport("fefferman_stein_rev", params, s_norm, m_norm, constants[1])
+    fwd = NormReport("fefferman_stein_fwd", params, m_norm, s_norm,
+                     SWEPT_CONSTANTS["fefferman_stein_fwd"])
+    rev = NormReport("fefferman_stein_rev", params, s_norm, m_norm,
+                     SWEPT_CONSTANTS["fefferman_stein_rev"])
     return fwd, rev
 
 
@@ -474,7 +471,8 @@ def kernel_majorant_report(torus: LatticeTorus, x0=0) -> NormReport:
     """Weak norm of the distance majorant dist^(2-d); bounded, reported only."""
     if torus.d < 3:
         raise LatticeError("kernel majorant needs d >= 3")
-    dist = distances_from(torus, torus.coords_of(x0) if isinstance(x0, int) else x0)
+    x0 = torus.coords_of(x0) if isinstance(x0, (int, np.integer)) else x0
+    dist = distances_from(torus, x0)
     vals = np.maximum(dist, 1).astype(np.float64) ** (2 - torus.d)
     p = torus.d / (torus.d - 2)
     wn = weak_norm(vals.reshape(-1, 1), p)
@@ -492,16 +490,6 @@ def kernel_majorant_report(torus: LatticeTorus, x0=0) -> NormReport:
 # cube Dirichlet problems: global estimate, weak interpolation, BMO report
 
 
-def _local_dirichlet_solve(op: EllipticOperator, cube: Cube,
-                           rhs: np.ndarray) -> np.ndarray:
-    return CubeProjector(op, cube).dirichlet_solve_raw(rhs)
-
-
-def divergence_source(op: EllipticOperator, fmat: np.ndarray) -> np.ndarray:
-    """Adjoint-divergence of a matrix field (sites, m, d): the div f source."""
-    return divergence_star_raw(op.torus, fmat)
-
-
 def global_estimate_check(
     op: EllipticOperator,
     cube: Cube,
@@ -509,7 +497,6 @@ def global_estimate_check(
     g: np.ndarray,
     p: float,
     q: float,
-    constant: float | None = None,
 ) -> NormReport:
     """Solvability estimate on a cube: grad of the solution against the data.
 
@@ -523,19 +510,18 @@ def global_estimate_check(
         raise LatticeError(f"need p > 1, got p={p}")
     qstar = _conjugate_exponent(q, t.d)
     s = min(p, qstar)
-    rhs = divergence_source(op, fmat) + g
-    u = _local_dirichlet_solve(op, cube, rhs)
+    rhs = divergence_star_raw(t, fmat) + g
+    u = CubeProjector(op, cube).dirichlet_solve_raw(rhs)
     idx = cube_sites(t, cube.anchor, cube.side_length)
     grad = gradient_stack_raw(t, u)
     lhs = cube_norm(grad, idx, s)
     rhs_val = cube_norm(fmat, idx, p) + cube_norm(g, idx, q)
-    C = SWEPT_CONSTANTS["global_estimate"] if constant is None else constant
     return NormReport(
         "global_estimate",
         {"d": t.d, "cube": cube.side_length, "p": p, "q": q, "s": round(s, 6)},
         lhs,
         rhs_val,
-        C,
+        SWEPT_CONSTANTS["global_estimate"],
     )
 
 
@@ -543,7 +529,6 @@ def weak_interpolation_check(
     op: EllipticOperator,
     cube: Cube,
     fmat: np.ndarray,
-    constant: float | None = None,
 ) -> NormReport:
     """Weak-norm bound for the cube solution operator f -> grad u.
 
@@ -553,18 +538,17 @@ def weak_interpolation_check(
     """
     p = q = 2.0
     t = op.torus
-    u = _local_dirichlet_solve(op, cube, divergence_source(op, fmat))
+    u = CubeProjector(op, cube).dirichlet_solve_raw(divergence_star_raw(t, fmat))
     idx = cube_sites(t, cube.anchor, cube.side_length)
     grad = gradient_stack_raw(t, u)
     lhs = weak_norm_cube(grad, idx, q)
     rhs = weak_norm_cube(fmat, idx, p)
-    C = SWEPT_CONSTANTS["weak_interpolation"] if constant is None else constant
     return NormReport(
         "weak_interpolation",
         {"d": t.d, "cube": cube.side_length, "p": p, "q": q},
         lhs,
         rhs,
-        C,
+        SWEPT_CONSTANTS["weak_interpolation"],
     )
 
 
@@ -572,7 +556,7 @@ def bmo_gradient_report(op: EllipticOperator, cube: Cube,
                         fmat: np.ndarray) -> NormReport:
     """BMO norm of grad u against sup |f| for the cube problem; reported only."""
     t = op.torus
-    u = _local_dirichlet_solve(op, cube, divergence_source(op, fmat))
+    u = CubeProjector(op, cube).dirichlet_solve_raw(divergence_star_raw(t, fmat))
     mag = site_magnitudes(gradient_stack_raw(t, u)).reshape(t.sites, 1)
     tmp = LatticeField(LatticeTorus(t.d, 1, t.L, t.N), mag)
     lhs = bmo_norm(tmp)
@@ -630,7 +614,6 @@ def projection_bound_check(
     cubes: list[Cube],
     x0,
     j: int = 0,
-    constant: float | None = None,
 ) -> NormReport:
     """Sup bound for iterated cube-complement projections of a Green slice.
 
@@ -658,29 +641,19 @@ def projection_bound_check(
     mask = np.ones(t.sites, dtype=bool)
     mask[source] = False
     ratio = float((lhs_vals[mask] / rhs_vals[mask]).max())
-    C = SWEPT_CONSTANTS["projection_bound"] if constant is None else constant
     return NormReport(
         "projection_bound",
         {"d": t.d, "k": len(cubes), "j": j,
          "cubes": [c.side_length for c in cubes]},
         ratio,
         float(2 ** len(cubes)),
-        C,
+        SWEPT_CONSTANTS["projection_bound"],
         extra={"observed_over_envelope": ratio},
     )
 
 
 # ---------------------------------------------------------------------------
 # per-level kernel decay
-
-
-def _multi_indices_of_order(d: int, order: int):
-    if order == 0:
-        yield (0,) * d
-        return
-    for exps in product(range(order + 1), repeat=d):
-        if sum(exps) == order:
-            yield exps
 
 
 def level_decay_report(
@@ -712,14 +685,10 @@ def level_decay_report(
             devi = col.values - C[None, :, :]
             flat = devi.reshape(t.sites, -1)
             for a in alpha_orders:
-                best = 0.0
-                for alpha in _multi_indices_of_order(t.d, a):
-                    diff = flat
-                    for axis, reps in enumerate(alpha):
-                        for _ in range(reps):
-                            diff = forward_diff_raw(t, diff, axis)
-                    best = max(best, float(site_magnitudes(diff).max()))
-                worst[a] = max(worst[a], best)
+                for alpha in product(range(a + 1), repeat=t.d):
+                    if sum(alpha) == a:
+                        diff = grad_multi_raw(t, flat, alpha)
+                        worst[a] = max(worst[a], float(site_magnitudes(diff).max()))
         for a in alpha_orders:
             maxima[a].append(worst[a])
 

@@ -14,6 +14,7 @@ from frdkit import (
     make_perturbed,
     scaled_smoothness_norm,
 )
+from frdkit import coefficients
 from frdkit.coefficients import export_table, import_table, spec_from_config
 
 
@@ -130,6 +131,15 @@ class TestMakePerturbed:
         t = LatticeTorus(2, 1, 3, 2)
         with pytest.raises(BudgetError):
             make_perturbed(single_mode_spec(2, 0.05, budget=1e-6), t)
+
+    def test_zero_epsilon_skips_the_smoothness_norm(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("smoothness norm computed for epsilon = 0")
+
+        monkeypatch.setattr(coefficients, "scaled_smoothness_norm", refuse)
+        t = LatticeTorus(2, 1, 3, 2)
+        A = make_perturbed(single_mode_spec(2, 0.0, budget=1e-6), t)
+        np.testing.assert_array_equal(A.values[0], np.eye(2))
 
     def test_ellipticity_lost(self):
         t = LatticeTorus(2, 1, 3, 2)
