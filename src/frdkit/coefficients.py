@@ -81,12 +81,36 @@ class CoefficientField:
         return bool(np.abs(self.values - self.values[0]).max() <= tol)
 
 
+def _coefficient_periods(coefficients: CoefficientField) -> tuple[int, ...]:
+    """Smallest period of the coefficient field along each axis.
+
+    Only an exact match counts, so a missed period costs speed, never
+    accuracy.  The smallest period divides the side, so only divisors are
+    tried.
+    """
+    t = coefficients.torus
+    grid = t.to_grid(coefficients.values)
+    return tuple(
+        next(p for p in range(1, t.side + 1) if t.side % p == 0
+             and np.array_equal(np.roll(grid, p, axis=j), grid))
+        for j in range(t.d)
+    )
+
+
+def _period_cell(torus: LatticeTorus, periods: tuple[int, ...]) -> np.ndarray:
+    """Row-major site indices of the period cell [0, P_0) x ... x [0, P_(d-1))."""
+    return np.ravel_multi_index(np.indices(periods).reshape(torus.d, -1), torus.shape)
+
+
 def ellipticity_constants(A: CoefficientField) -> tuple[float, float]:
     """Extreme eigenvalues of the quadratic form over all sites.
 
-    Raises NonEllipticError when the smallest eigenvalue is not positive.
+    The field repeats with its periods, so one period cell holds every site
+    block.  Raises NonEllipticError when the smallest eigenvalue is not
+    positive.
     """
-    eigs = np.linalg.eigvalsh(A.values)
+    cell = _period_cell(A.torus, _coefficient_periods(A))
+    eigs = np.linalg.eigvalsh(A.values[cell])
     c0 = float(eigs[:, 0].min())
     c1 = float(eigs[:, -1].max())
     if c0 <= 0:
@@ -104,10 +128,13 @@ def scaled_smoothness_norm(
     class of the coefficient fields.  The zero-order term is the plain sup of
     the spectral norm; differences use forward stencils entrywise.  With
     ``reference`` set this measures the deviation from a constant map, which
-    is the smallness parameter used by the decomposition bounds.
+    is the smallness parameter used by the decomposition bounds.  Every
+    ``D^b A`` has the periods of A, so the sup over one period cell is the
+    sup over the torus.
     """
     torus = A.torus
     md = torus.m * torus.d
+    cell = _period_cell(torus, _coefficient_periods(A))
     dev = A.values.reshape(torus.sites, md * md).copy()
     if reference is not None:
         ref = np.asarray(reference, dtype=np.float64).reshape(1, md * md)
@@ -119,7 +146,7 @@ def scaled_smoothness_norm(
         if order > MULTI_INDEX_CAP:
             continue
         diff = grad_multi_raw(torus, dev, exps)
-        val = scale ** order * _spectral_norms(diff.reshape(torus.sites, md, md)).max()
+        val = scale ** order * _spectral_norms(diff[cell].reshape(-1, md, md)).max()
         best = max(best, float(val))
     return best
 

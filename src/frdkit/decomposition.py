@@ -273,9 +273,9 @@ def build_decomposition(
 
     The manifest's ``solver`` entry holds the block iterations summed over
     the kernel solves and their worst relative residual, and ``smoothers``
-    each smoother's cube side, coefficient-period class count and whether
-    its local inverses are cached; all are deterministic, so archives stay
-    byte-reproducible.
+    each smoother's cube side, coefficient-period class count, whether its
+    local inverses fit the cache and whether it is applied through its Bloch
+    symbol; all are deterministic, so archives stay byte-reproducible.
     """
     plan = DecompositionPlan.default(op.torus) if plan is None else plan
     dec = Decomposition(op, plan)
@@ -296,7 +296,8 @@ def build_decomposition(
         "coefficient_hash": op.coefficients.content_hash(),
         "solver": {"iterations": iterations, "residual": residual},
         "smoothers": [{"cube_side": s.side_length, "classes": s.classes,
-                       "cached": s.cached} for s in dec.smoothers],
+                       "cached": s.cached, "symbol": s.symbol}
+                      for s in dec.smoothers],
         "created": _timestamp(),
     }
     return dec

@@ -9,8 +9,14 @@ exactly that many translates); its complement removes the locally determined
 part of a field.
 
 Translates whose anchors agree modulo the coefficient field's exact
-per-axis periods have the same local matrix.  One inverse per such class is
-cached or, above a byte budget, reassembled on every application.
+per-axis periods have the same local matrix.  So the average commutes with
+shifts by the periods P: writing a site as x = P*y + rho, with rho in the
+period cell of C classes and y on the coarse grid, it is a block convolution
+over y, diagonal per coarse frequency (its Bloch symbol).  When C is at most
+the cube's site count and the symbol fits a byte budget, the smoother is
+applied through it: an FFT over y, one (C*m, C*m) product per frequency and
+the inverse FFT.  Otherwise one inverse per class is cached or, above the
+budget, reassembled on every application, and applied as below.
 
 Every translate is visited through windows (``lattice.cube_windows``) of a
 grid padded periodically by ``side_length - 1`` sites per axis with
@@ -36,17 +42,18 @@ from .lattice import (
     cube_sites,
     cube_windows,
 )
-from .coefficients import CoefficientField
+from .coefficients import _coefficient_periods, _period_cell
 from .operators import EllipticOperator
 
-#: Cap on the cached local inverses of one smoother (bytes); above it they
-#: are reassembled on every application.
+#: Cap on the Bloch symbol, or else on the cached local inverses, of one
+#: smoother (bytes); above it the inverses are reassembled on every application.
 _CACHE_BYTE_BUDGET = 400_000_000
 #: Cap on one chunk of reassembled local matrices (bytes); a smoother that
 #: would need more is refused when it is built, before any solve runs.
 _CHUNK_BYTE_BUDGET = 1 << 30
-#: Cap on the right-hand sides gathered for one column block (bytes); a block
-#: always holds at least one column.
+#: Cap on the right-hand sides gathered for one column block, and on the
+#: class inverses accumulated into a symbol at once (bytes); a block always
+#: holds at least one column or class.
 _GATHER_BYTE_BUDGET = 64 << 20
 #: Classes assembled and inverted together.
 _CHUNK = 2048
@@ -64,22 +71,6 @@ class Cube:
     side_length: int
 
 
-def _coefficient_periods(coefficients: CoefficientField) -> tuple[int, ...]:
-    """Smallest period of the coefficient field along each axis.
-
-    Only an exact match counts, so a missed period costs speed, never
-    accuracy.  The smallest period divides the side, so only divisors are
-    tried.
-    """
-    t = coefficients.torus
-    grid = t.to_grid(coefficients.values)
-    return tuple(
-        next(p for p in range(1, t.side + 1) if t.side % p == 0
-             and np.array_equal(np.roll(grid, p, axis=j), grid))
-        for j in range(t.d)
-    )
-
-
 def _local_matrices(op: EllipticOperator, side_length: int,
                     anchors: np.ndarray) -> np.ndarray:
     """Restrictions of the operator to cube translates: (T, n, n) with n = l^d*m.
@@ -93,49 +84,50 @@ def _local_matrices(op: EllipticOperator, side_length: int,
     and cube membership of an offset is a purely local test.
     """
     t = op.torus
-    m = t.m
-    offs = cube_offsets(t.d, side_length)
+    d, m = t.d, t.m
+    offs = cube_offsets(d, side_length)
     nloc = offs.shape[0]
-    offmap = {tuple(o): i for i, o in enumerate(offs)}
     # (T, nloc) site index of every offset of every translate
     ext = np.pad(np.arange(t.sites, dtype=np.int64).reshape(t.shape),
                  (0, side_length - 1), mode="wrap")
     at = np.unravel_index(anchors, t.shape)
-    idx = np.stack([ext[w][at] for w in cube_windows(t.d, side_length, t.side)],
+    idx = np.stack([ext[w][at] for w in cube_windows(d, side_length, t.side)],
                    axis=1)
     T = idx.shape[0]
-    M = np.zeros((T, nloc, m, nloc, m))
     Agrid = t.to_grid(op.coefficients.values.reshape(t.sites, -1))
 
     def gathered(shift: np.ndarray) -> np.ndarray:
         """Coefficient blocks at (site + shift) for each (translate, offset)."""
         rolled = np.roll(Agrid, shift=tuple(-int(s) for s in shift),
-                         axis=tuple(range(t.d)))
-        flat = t.to_flat(rolled).reshape(t.sites, m, t.d, m, t.d)
+                         axis=tuple(range(d)))
+        flat = t.to_flat(rolled).reshape(t.sites, m, d, m, d)
         return flat[idx]  # (T, nloc, m, d, m, d)
 
-    # gathered blocks have axes (translate, offset, a, j, b, k)
-    ej = np.eye(t.d, dtype=np.int64)
-    A0 = gathered(np.zeros(t.d, dtype=np.int64))
-    for p_i, p in enumerate(offs):
-        q0 = offmap[tuple(p)]
-        M[:, p_i, :, q0, :] += A0[:, p_i].sum(axis=(2, 4))
-        for k in range(t.d):
-            qk = tuple(p + ej[k])
-            if qk in offmap:
-                M[:, p_i, :, offmap[qk], :] -= A0[:, p_i, :, :, :, k].sum(axis=2)
-    for j in range(t.d):
+    def pairs(shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Offsets p, and their q = p + shift, for which q is in the cube."""
+        q = offs + shift
+        inside = ((q >= 0) & (q < side_length)).all(axis=1)
+        return np.flatnonzero(inside), np.ravel_multi_index(q[inside].T, (side_length,) * d)
+
+    # W has axes (translate, row offset, column offset, a, b); gathered blocks
+    # have axes (translate, offset, a, j, b, k)
+    W = np.zeros((T, nloc, nloc, m, m))
+    ej = np.eye(d, dtype=np.int64)
+    A0 = gathered(np.zeros(d, dtype=np.int64))
+    diag = np.arange(nloc)
+    W[:, diag, diag] += A0.sum(axis=(3, 5))
+    for k in range(d):
+        p, q = pairs(ej[k])
+        W[:, p, q] -= A0[..., k][:, p].sum(axis=3)
+    for j in range(d):
         Am = gathered(-ej[j])
-        for p_i, p in enumerate(offs):
-            qm = tuple(p - ej[j])
-            if qm in offmap:
-                M[:, p_i, :, offmap[qm], :] -= Am[:, p_i, :, j, :, :].sum(axis=3)
-            for k in range(t.d):
-                q = tuple(p - ej[j] + ej[k])
-                if q in offmap:
-                    M[:, p_i, :, offmap[q], :] += Am[:, p_i, :, j, :, k]
+        p, q = pairs(-ej[j])
+        W[:, p, q] -= Am[:, :, :, j][:, p].sum(axis=4)
+        for k in range(d):
+            p, q = pairs(ej[k] - ej[j])
+            W[:, p, q] += Am[:, :, :, j, :, k][:, p]
     n = nloc * m
-    return M.reshape(T, n, n)
+    return W.transpose(0, 1, 3, 2, 4).reshape(T, n, n)
 
 
 def _whole_torus_project_raw(flat: np.ndarray) -> np.ndarray:
@@ -209,10 +201,14 @@ class AveragingOperator:
     the decomposition positive.
 
     ``classes`` counts the coefficient-period classes of translates (0 for
-    the whole-torus cube, which has no local solves) and ``cached`` says
-    whether their inverses fit ``_CACHE_BYTE_BUDGET``.  Cached inverses are
-    built on first application; apply the operator once before sharing it
-    across threads.  Applications themselves are pure.
+    the whole-torus cube, which has no local solves).  ``symbol`` says
+    whether the smoother is applied through its Bloch symbol: there are at
+    most as many classes as cube sites and the symbol fits
+    ``_CACHE_BYTE_BUDGET``.  Otherwise the class inverses are gathered
+    against, and ``cached`` says whether they fit the same budget.  The
+    symbol or the cached inverses are built on first application; apply the
+    operator once before sharing it across threads.  Applications
+    themselves are pure.
     """
 
     def __init__(self, op: EllipticOperator, side_length: int):
@@ -223,19 +219,20 @@ class AveragingOperator:
         self.side_length = side_length
         self.whole_torus = side_length == t.side
         self._weight = 1.0 / side_length ** t.d
-        self._inv = None
-        self.classes, self.cached = 0, False
+        self._inv = self._symbol = None
+        self.classes, self.cached, self.symbol = 0, False, False
         if self.whole_torus:
             return
         self.periods = _coefficient_periods(op.coefficients)
         self.classes = int(np.prod(self.periods))
-        self._representatives = np.ravel_multi_index(
-            np.indices(self.periods).reshape(t.d, -1), t.shape)
+        self._representatives = _period_cell(t, self.periods)
         self._members = tuple(t.side // p for p in self.periods)
         self._windows = cube_windows(t.d, side_length, t.side)
         n = side_length ** t.d * t.m
         self.cached = self.classes * n * n * 8 <= _CACHE_BYTE_BUDGET
-        if not self.cached:
+        self.symbol = (self.classes <= side_length ** t.d and
+                       16 * t.sites * self.classes * t.m ** 2 <= _CACHE_BYTE_BUDGET)
+        if not (self.cached or self.symbol):
             count = min(_CHUNK, self.classes)
             chunk_bytes = count * n * n * 8
             if chunk_bytes > _CHUNK_BYTE_BUDGET:
@@ -252,9 +249,76 @@ class AveragingOperator:
         return np.linalg.inv(
             _local_matrices(self.op, self.side_length, self._representatives[run]))
 
+    def _bloch_symbol(self) -> np.ndarray:
+        """Per coarse frequency, the (C*m, C*m) block of the averaged local solves.
+
+        Entry ((p, a), (q, b)) of class r's local inverse couples input
+        residue (r + q) mod P to output residue (r + p) mod P at coarse shift
+        (r + p) // P - (r + q) // P.  Unwrapped, that shift is linear in p
+        and q, so one ``bincount`` per run of classes sums the taps of every
+        shift, after which the run's inverses are dropped.  The taps are
+        then wrapped onto the coarse torus and transformed by ``rfftn``.
+        """
+        t = self.op.torus
+        d, m, size = t.d, t.m, self.classes * t.m
+        offs = cube_offsets(d, self.side_length)
+        nloc = len(offs)
+        periods = np.array(self.periods)
+        reach = (periods + self.side_length - 2) // periods + 1  # (r + p) // P < reach
+        span = tuple(2 * reach - 1)  # unwrapped shifts, moved up by reach - 1
+        centre = np.ravel_multi_index(tuple(reach - 1), span)
+        cell = periods[:, None, None]
+        unwrapped = np.zeros(int(np.prod(span)) * size * size)
+        for run in column_blocks(self.classes, (nloc * m) ** 2 * 8, _GATHER_BYTE_BUDGET):
+            inv = np.linalg.inv(_local_matrices(self.op, self.side_length,
+                                                self._representatives[run]))
+            # (d, R, nloc): r + p per axis, class and offset
+            at = (np.array(np.unravel_index(np.arange(run.start, run.stop), self.periods))
+                  [:, :, None] + offs.T[:, None])
+            residue = (np.ravel_multi_index(tuple(at % cell), self.periods)[..., None] * m
+                       + np.arange(m))
+            coarse = np.ravel_multi_index(tuple(at // cell), span)[..., None]
+            row = ((coarse + centre) * size + residue) * size
+            column = residue - coarse * size * size
+            index = row[:, :, :, None, None] + column[:, None, None]
+            unwrapped += np.bincount(index.ravel(), weights=inv.ravel(),
+                                     minlength=unwrapped.size)
+        taps = np.zeros(self._members + (size, size))
+        wrap = [(np.arange(w) - r + 1) % n for w, r, n in zip(span, reach, self._members)]
+        np.add.at(taps, np.ix_(*wrap), unwrapped.reshape(span + (size, size)))
+        return np.fft.rfftn(taps * self._weight, axes=tuple(range(d)))
+
+    def _convolve(self, cols: np.ndarray) -> np.ndarray:
+        """The averaged local solves of each column of (sites, m, B), by the symbol.
+
+        Sites farther than ``side_length - 1`` along some axis from every
+        nonzero of a column get exactly zero, as in the gather; the FFT
+        alone would leave roundoff there.
+        """
+        t = self.op.torus
+        d, B, l = t.d, cols.shape[2], self.side_length
+        near = t.to_grid((cols != 0).any(axis=1))
+        if self._symbol is None:
+            self._symbol = self._bloch_symbol()
+        split = [x for pair in zip(self._members, self.periods) for x in pair]
+        coarse = tuple(range(d))
+        grid = cols.reshape(split + [t.m, B]).transpose(
+            *range(0, 2 * d, 2), *range(1, 2 * d, 2), 2 * d, 2 * d + 1)
+        spec = np.fft.rfftn(grid.reshape(self._members + (-1, B)), axes=coarse)
+        out = np.fft.irfftn(self._symbol @ spec, s=self._members, axes=coarse)
+        interleave = [x for j in coarse for x in (j, d + j)] + [2 * d, 2 * d + 1]
+        out = out.reshape(self._members + self.periods + (t.m, B)).transpose(
+            interleave).reshape(cols.shape)
+        if near.all():
+            return out
+        for j in range(d):
+            near = np.logical_or.reduce([np.roll(near, s, axis=j) for s in range(1 - l, l)])
+        return np.where(t.to_flat(near)[:, None], out, 0.0)
+
     def _solve_all_translates(self, flat: np.ndarray) -> np.ndarray:
         """Gather `flat` on every translate, solve locally, scatter-average.
 
+        A symbol smoother convolves instead (``_convolve``).
         Offset p of every translate reads window p of the field padded
         periodically by ``side_length - 1`` sites per axis, and its local
         solution is added into the same window of a zero grid whose padding
@@ -267,6 +331,9 @@ class AveragingOperator:
         t = self.op.torus
         d, m, side, l = t.d, t.m, t.side, self.side_length
         cols = flat if flat.ndim == 3 else flat[..., None]
+        if self.symbol:
+            out = self._convolve(cols)
+            return out if flat.ndim == 3 else out[..., 0]
         nloc = len(self._windows)
         runs = column_blocks(self.classes, 1, _CHUNK)
         if self.cached and self._inv is None:

@@ -16,6 +16,8 @@ from frdkit import (
 )
 from frdkit import coefficients
 from frdkit.coefficients import export_table, import_table, spec_from_config
+from frdkit.lattice import MULTI_INDEX_CAP, grad_multi_raw
+from conftest import random_operator
 
 
 def single_mode_spec(d, eps, budget=None):
@@ -118,6 +120,40 @@ class TestSmoothnessNorm:
                                 (TrigMode((1, 0), amp),), budget=20.0)
         A = make_perturbed(spec, t)
         assert scaled_smoothness_norm(A, reference=np.eye(md)) > 0.0
+
+
+def periodic_field(kind, d):
+    """Constant, one-mode, two-mode (d = 3) or random coefficients on side 9."""
+    t = LatticeTorus(d, 1, 3, 2)
+    if kind == "random":
+        return random_operator(d, N=2, seed=5).coefficients
+    freqs = {"constant": [], "one-mode": [(1,) + (0,) * (d - 1)],
+             "two-mode": [(1, 0, 0), (0, 3, 0)]}[kind]
+    spec = PerturbationSpec(np.eye(d), 0.05, tuple(
+        TrigMode(f, np.eye(d), phase=0.3) for f in freqs), budget=1000.0)
+    return make_perturbed(spec, t)
+
+
+@pytest.mark.parametrize("kind,d", [("constant", 2), ("one-mode", 2), ("one-mode", 3),
+                                    ("two-mode", 3), ("random", 2)])
+def test_period_cell_checks_equal_full_site_sweeps(kind, d):
+    """Ellipticity and smoothness read one period cell, bit-identically."""
+    A = periodic_field(kind, d)
+    t = A.torus
+    md = t.m * t.d
+    eigs = np.linalg.eigvalsh(A.values)
+    assert ellipticity_constants(A) == (float(eigs[:, 0].min()), float(eigs[:, -1].max()))
+    for reference in (None, 1.1 * np.eye(md)):
+        dev = A.values.reshape(t.sites, md * md)
+        if reference is not None:
+            dev = dev - reference.reshape(1, md * md)
+        full = 0.0
+        for exps in itertools.product(range(MULTI_INDEX_CAP + 1), repeat=t.d):
+            if sum(exps) <= MULTI_INDEX_CAP:
+                diff = grad_multi_raw(t, dev, exps).reshape(t.sites, md, md)
+                norm = np.abs(np.linalg.eigvalsh(diff)).max()
+                full = max(full, float(t.side ** sum(exps) * norm))
+        assert scaled_smoothness_norm(A, reference) == full
 
 
 class TestMakePerturbed:

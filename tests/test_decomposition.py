@@ -191,8 +191,10 @@ class TestBuildAndArchive:
                 "generic": random_operator}[kind]
         dec = build_decomposition(make(2), sources=[0])
         assert dec.manifest["smoothers"] == [
-            {"cube_side": 1, "classes": classes, "cached": True},
-            {"cube_side": 3, "classes": classes, "cached": True},
+            {"cube_side": 1, "classes": classes, "cached": True,
+             "symbol": classes <= 1},
+            {"cube_side": 3, "classes": classes, "cached": True,
+             "symbol": classes <= 9},
         ]
 
     def test_build_populates_levels(self, op_d2_pert):

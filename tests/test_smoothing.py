@@ -13,7 +13,8 @@ from frdkit import (
 )
 from frdkit.lattice import cube_offsets, distances_from
 from frdkit.operators import dense_matrix
-from frdkit import CoefficientField, PerturbationSpec, TrigMode, make_perturbed, smoothing
+from frdkit import (CoefficientField, EllipticOperator, PerturbationSpec, TrigMode,
+                    make_perturbed, smoothing)
 from frdkit.smoothing import _coefficient_periods, _local_matrices
 from conftest import (identity_operator, perturbed_operator, random_mean_zero,
                       random_operator)
@@ -304,4 +305,74 @@ def test_smoother_matches_its_definition(monkeypatch, d, m, kind, cached):
         expected = sum(CubeProjector(op, Cube(t.coords_of(a), side_length)).project_raw(f)
                        for a in range(t.sites)) / side_length ** t.d
         got = smoother.smooth_raw(f)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def gather_of(op, side_length):
+    """The same smoother forced onto the class-inverse gather."""
+    smoother = AveragingOperator(op, side_length)
+    smoother.symbol = False
+    return smoother
+
+
+class TestBlochSymbol:
+    def test_choice_rule(self, monkeypatch):
+        const, mode = identity_operator(2), perturbed_operator(2)
+        assert all(AveragingOperator(const, l).symbol for l in range(1, 9))
+        assert [AveragingOperator(mode, l).symbol for l in (1, 3)] == [False, True]
+        assert not any(AveragingOperator(random_operator(2), l).symbol for l in range(1, 9))
+        monkeypatch.setattr(smoothing, "_CACHE_BYTE_BUDGET", 0)
+        assert not any(AveragingOperator(const, l).symbol for l in range(1, 9))
+
+    def test_holds_no_class_inverses(self, op_d2_pert):
+        smoother = AveragingOperator(op_d2_pert, 3)
+        smoother.smooth_raw(random_mean_zero(op_d2_pert, 1).values)
+        assert smoother.symbol and smoother._inv is None
+
+    def test_symbol_within_budget_is_not_refused(self, monkeypatch):
+        # side-9 mode field, cube 5: a 11.7 kB symbol, against 45 kB of
+        # inverses that one 1-byte chunk could not hold
+        monkeypatch.setattr(smoothing, "_CACHE_BYTE_BUDGET", 20_000)
+        monkeypatch.setattr(smoothing, "_CHUNK_BYTE_BUDGET", 1)
+        op = perturbed_operator(2)
+        smoother = AveragingOperator(op, 5)
+        assert smoother.symbol and not smoother.cached
+        f = random_mean_zero(op, 2).values
+        got = smoother.smooth_raw(f)
+        monkeypatch.setattr(smoothing, "_CHUNK_BYTE_BUDGET", 1 << 30)
+        expected = gather_of(op, 5).smooth_raw(f)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_keeps_the_exact_zeros_of_each_column(self, op_d3_pert):
+        t = op_d3_pert.torus
+        block = np.zeros((t.sites, 1, 2))
+        block[t.index_of((4, 4, 4)), 0, 0] = 1.0
+        block[:, 0, 1] = random_mean_zero(op_d3_pert, 3).values[:, 0]
+        got = AveragingOperator(op_d3_pert, 3).smooth_raw(block)
+        expected = gather_of(op_d3_pert, 3).smooth_raw(block)
+        np.testing.assert_array_equal(got == 0, expected == 0)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("d,m", [(2, 1), (2, 2), (3, 1)])
+    def test_short_periods_match_the_gather(self, d, m):
+        # periods (3, 3[, 1]) on side 9: coarse shifts and residues both
+        # vary, and no reflection maps the field to itself
+        torus = LatticeTorus(d, m, 3, 2)
+        op = EllipticOperator(modes_field(torus, [(3, 0, 0)[:d], (0, 3, 0)[:d]]))
+        f = np.random.default_rng(5).standard_normal((torus.sites, m, 2))
+        for side_length in (3, 4):
+            smoother = AveragingOperator(op, side_length)
+            assert smoother.symbol and smoother.classes == 9
+            gather = gather_of(op, side_length)
+            for got, expected in [(smoother.smooth_raw(f), gather.smooth_raw(f)),
+                                  (smoother.smooth_transpose_raw(f),
+                                   gather.smooth_transpose_raw(f))]:
+                assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_side27_cube9_column_matches_the_gather(self):
+        # const-s27's geometry: d = 3, side 27, constant coefficients
+        op = identity_operator(3, N=3)
+        f = random_mean_zero(op, 4).values
+        got = AveragingOperator(op, 9).smooth_raw(f)
+        expected = gather_of(op, 9).smooth_raw(f)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
