@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from .decomposition import (
 from .reporting import NormReport, write_csv_summary, write_jsonl
 from .smoothing import MemoryBudgetError
 from .sensitivity import (
+    PROBE_TOL,
     DirectionalProbe,
     directional_derivative,
     green_derivative_estimate,
@@ -69,10 +71,16 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _config_int(value, what: str) -> int:
+    """A JSON integer from a config (a bool is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise LatticeError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def build_from_config(cfg: dict):
+    """Operator, plan and sources; sites and the probe level are checked first."""
     torus, spec = spec_from_config(cfg["coefficients"])
-    A = make_perturbed(spec, torus)
-    op = EllipticOperator(A)
     plan_cfg = cfg.get("plan", {})
     unknown = set(plan_cfg) - _PLAN_KEYS
     if unknown:
@@ -87,7 +95,17 @@ def build_from_config(cfg: dict):
     sources = cfg.get("sources", [0])
     if sources == "all":
         sources = list(range(torus.sites))
-    return op, plan, [int(s) for s in sources]
+    if not isinstance(sources, list):
+        raise LatticeError('sources must be a list of site indices or "all"')
+    sources = [torus.site(_config_int(s, "source")) for s in sources]
+    pcfg = cfg.get("probe", {})
+    unknown = set(pcfg) - _PROBE_KEYS
+    if unknown:
+        raise LatticeError(f"unknown probe keys: {sorted(unknown)}")
+    torus.site(_config_int(pcfg.get("source", 0), "probe source"))
+    if not 1 <= _config_int(pcfg.get("level", 1), "probe level") <= plan.levels:
+        raise LatticeError(f"probe level must lie in 1..{plan.levels}")
+    return EllipticOperator(make_perturbed(spec, torus)), plan, sources
 
 
 def cmd_decompose(args) -> int:
@@ -117,10 +135,7 @@ def _write_reports(records, out_dir: Path, stem: str) -> None:
 
 
 def cmd_verify(args) -> int:
-    try:
-        dec = load_archive(args.archive)
-    except tableio.IntegrityError as exc:
-        return _error("integrity", str(exc), EXIT_INTEGRITY)
+    dec = load_archive(args.archive)
     try:
         records = run_suites(dec, args.suite, seed=args.seed or 0)
     except (LatticeError, ConvergenceError, ValueError) as exc:
@@ -139,10 +154,7 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     """Reported-only diagnostics: decay tables, far-field spread, majorants."""
-    try:
-        dec = load_archive(args.archive)
-    except tableio.IntegrityError as exc:
-        return _error("integrity", str(exc), EXIT_INTEGRITY)
+    dec = load_archive(args.archive)
     records: list = []
     sources = sorted({s for (_, s) in dec.kernels}) or [0]
     records.append(regularity.level_decay_report(dec, sources, (0, 1, 2)))
@@ -169,10 +181,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    try:
-        dec = load_archive(args.archive)
-    except tableio.IntegrityError as exc:
-        return _error("integrity", str(exc), EXIT_INTEGRITY)
+    dec = load_archive(args.archive)
     t = dec.op.torus
     if t.sites * t.m > ORACLE_SITE_LIMIT:
         return _error("config", f"sampling needs sites*m <= {ORACLE_SITE_LIMIT}",
@@ -217,21 +226,18 @@ def cmd_probe(args) -> int:
         if "probe" not in cfg:
             raise LatticeError("config requires a 'probe' section")
         pcfg = cfg["probe"]
-        unknown = set(pcfg) - _PROBE_KEYS
-        if unknown:
-            raise LatticeError(f"unknown probe keys: {sorted(unknown)}")
         op, plan, _ = build_from_config(cfg)
-        t = op.torus
         S = np.asarray(pcfg["direction_matrix"], dtype=np.float64)
-        direction = CoefficientField.constant(t, S)
+        if not S.any():
+            raise LatticeError("direction_matrix is zero: the oracle ratios are undefined")
         probe = DirectionalProbe(
             base=op.coefficients,
-            direction=direction,
+            direction=CoefficientField.constant(op.torus, S),
             steps=tuple(float(h) for h in pcfg.get("steps", (1e-3, 5e-4))),
-            level=int(pcfg.get("level", 1)),
-            source=int(pcfg.get("source", 0)),
+            level=pcfg.get("level", 1),
+            source=pcfg.get("source", 0),
             plan=plan,
-            tol=plan.solver_tol,
+            tol=min(plan.solver_tol, PROBE_TOL),
         )
     except (LatticeError, NonEllipticError, BudgetError, json.JSONDecodeError,
             OSError, KeyError, ValueError) as exc:
@@ -239,29 +245,20 @@ def cmd_probe(args) -> int:
 
     records = []
     try:
-        est, info = green_derivative_estimate(probe)
-        rec = {"check": "green_derivative", "steps": info["steps"],
-               "margins": info["margins"], "asserted": False}
-        if op.coefficients.is_constant(1e-14):
-            oracle = green_derivative_oracle(probe)
-            finest = info["estimates"][min(info["estimates"])]
-            coarse = info["estimates"][max(info["estimates"])]
-            scale = float(np.linalg.norm(oracle))
-            rec["oracle_rel_error"] = float(
-                np.linalg.norm(finest - oracle)) / scale
-            rec["richardson_ratio"] = (
-                float(np.linalg.norm(coarse - oracle))
-                / float(np.linalg.norm(finest - oracle)))
-        records.append(rec)
+        _, info = green_derivative_estimate(probe)
+        oracle = green_derivative_oracle(probe)
+        error = {h: np.linalg.norm(est - oracle) for h, est in info["estimates"].items()}
+        finest = error[min(error)]
+        records.append({"check": "green_derivative", "steps": info["steps"],
+                        "margins": info["margins"], "asserted": False,
+                        "oracle_rel_error": float(finest / np.linalg.norm(oracle)),
+                        "richardson_ratio": float(error[max(error)] / finest)})
         _, dreport = directional_derivative(probe)
         records.append({"check": "level_derivative", **dreport,
                         "level": probe.level, "asserted": False})
         scan_steps = pcfg.get("scan_steps")
         if scan_steps:
-            scan_probe = DirectionalProbe(
-                probe.base, probe.direction,
-                tuple(float(h) for h in scan_steps),
-                probe.level, probe.source, plan, probe.tol)
+            scan_probe = replace(probe, steps=tuple(float(h) for h in scan_steps))
             records.append({"check": "lipschitz_scan",
                             **lipschitz_scan(scan_probe), "asserted": False})
     except (NonEllipticError, ConvergenceError, LatticeError) as exc:
@@ -320,6 +317,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except MemoryBudgetError as exc:
         return _error("memory", str(exc), EXIT_CONFIG)
+    except tableio.IntegrityError as exc:
+        return _error("integrity", str(exc), EXIT_INTEGRITY)
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from .lattice import (
     MULTI_INDEX_CAP,
     LatticeError,
     LatticeTorus,
-    grad_multi_raw,
 )
 from . import tableio
 
@@ -77,9 +76,6 @@ class CoefficientField:
     def content_hash(self) -> str:
         return tableio.array_hash(self.values)
 
-    def is_constant(self, tol: float = 0.0) -> bool:
-        return bool(np.abs(self.values - self.values[0]).max() <= tol)
-
 
 def _coefficient_periods(coefficients: CoefficientField) -> tuple[int, ...]:
     """Smallest period of the coefficient field along each axis.
@@ -130,23 +126,27 @@ def scaled_smoothness_norm(
     ``reference`` set this measures the deviation from a constant map, which
     is the smallness parameter used by the decomposition bounds.  Every
     ``D^b A`` has the periods of A, so the sup over one period cell is the
-    sup over the torus.
+    sup over the torus; the differences are taken on the cell, extended
+    periodically by ``MULTI_INDEX_CAP`` sites per axis.
     """
     torus = A.torus
     md = torus.m * torus.d
-    cell = _period_cell(torus, _coefficient_periods(A))
-    dev = A.values.reshape(torus.sites, md * md).copy()
+    in_cell = tuple(slice(0, p) for p in _coefficient_periods(A))
+    cell = torus.to_grid(A.values.reshape(torus.sites, md * md))[in_cell]
     if reference is not None:
-        ref = np.asarray(reference, dtype=np.float64).reshape(1, md * md)
-        dev = dev - ref
+        cell = cell - np.asarray(reference, dtype=np.float64).reshape(md * md)
+    padded = np.pad(cell, [(0, MULTI_INDEX_CAP)] * torus.d + [(0, 0)], mode="wrap")
     scale = float(torus.side)
     best = 0.0
     for exps in product(range(MULTI_INDEX_CAP + 1), repeat=torus.d):
         order = sum(exps)
         if order > MULTI_INDEX_CAP:
             continue
-        diff = grad_multi_raw(torus, dev, exps)
-        val = scale ** order * _spectral_norms(diff[cell].reshape(-1, md, md)).max()
+        diff = padded
+        for axis, reps in enumerate(exps):
+            for _ in range(reps):
+                diff = np.diff(diff, axis=axis)
+        val = scale ** order * _spectral_norms(diff[in_cell].reshape(-1, md, md)).max()
         best = max(best, float(val))
     return best
 

@@ -87,10 +87,10 @@ class DecompositionPlan:
         return self.depth + 1
 
     @staticmethod
-    def default(torus: LatticeTorus, solver_tol: float = DEFAULT_TOL) -> "DecompositionPlan":
+    def default(torus: LatticeTorus) -> "DecompositionPlan":
         sides = default_cube_sides(torus.L, torus.N)
         radii = tuple(0.5 * torus.L ** k for k in range(1, torus.N + 1))
-        return DecompositionPlan(sides, radii, solver_tol)
+        return DecompositionPlan(sides, radii)
 
     def validate_for(self, torus: LatticeTorus) -> None:
         if self.cube_sides and self.cube_sides[-1] > torus.side:
@@ -189,8 +189,7 @@ class Decomposition:
 
     # -- kernel slices ---------------------------------------------------------
 
-    def kernel_columns(self, sources, levels=None, tol: float | None = None,
-                       with_report: bool = False):
+    def kernel_columns(self, sources, levels=None, with_report: bool = False):
         """Kernel slices of the given levels (default all) at every source.
 
         The unit sources of all sources and components form one column
@@ -205,29 +204,27 @@ class Decomposition:
         levels = tuple(range(1, self.plan.levels + 1)) if levels is None else tuple(levels)
         for k in levels:
             self._check_level(k)
-        tol = self.plan.solver_tol if tol is None else tol
-        srcs = [int(x) if isinstance(x, (int, np.integer)) else t.index_of(x)
-                for x in sources]
+        srcs = [t.site(x) for x in sources]
         delta = np.zeros((t.sites, t.m, len(srcs), t.m))
         for i, s in enumerate(srcs):
             delta[s, :, i, :] = np.eye(t.m)
         vs = self._levels_raw(delta.reshape(t.sites, t.m, -1), levels, transpose=True)
         rhs = np.stack(vs, axis=2).reshape(t.sites, t.m, -1)
-        sol, report = self.op.solve_green_raw(rhs - rhs.mean(axis=0), tol)
+        sol, report = self.op.solve_green_raw(rhs - rhs.mean(axis=0), self.plan.solver_tol)
         sol = sol.reshape(t.sites, t.m, len(levels), len(srcs), t.m)
         tag = self.op.coefficients.content_hash()[:12]
         out = []
         for ki, k in enumerate(levels):
             for i, s in enumerate(srcs):
                 col = KernelColumn(t, s, np.ascontiguousarray(sol[:, :, ki, i]),
-                                   f"level:{k}:{tag}", tol)
+                                   f"level:{k}:{tag}", self.plan.solver_tol)
                 self.kernels[(k, s)] = col
                 out.append(col)
         return (out, report) if with_report else out
 
-    def level_kernel_column(self, k: int, x0, tol: float | None = None) -> KernelColumn:
+    def level_kernel_column(self, k: int, x0) -> KernelColumn:
         """Kernel slice of level k at one source site (see ``kernel_columns``)."""
-        return self.kernel_columns([x0], (k,), tol)[0]
+        return self.kernel_columns([x0], (k,))[0]
 
     def far_mask(self, k: int, source: int) -> np.ndarray:
         """Sites at or beyond the claimed range radius of level k (may be empty).
@@ -280,7 +277,7 @@ def build_decomposition(
     plan = DecompositionPlan.default(op.torus) if plan is None else plan
     dec = Decomposition(op, plan)
     t = op.torus
-    srcs = [s if isinstance(s, (int, np.integer)) else t.index_of(s) for s in sources]
+    srcs = [t.site(s) for s in sources]
     per_source = t.sites * t.m * t.m * plan.levels * 8
     iterations, residual = 0, 0.0
     for block in column_blocks(len(srcs), per_source, BLOCK_BYTES):
@@ -411,7 +408,8 @@ def load_archive(directory: Path | str) -> Decomposition:
             col = KernelColumn.import_table(directory / stem, sha)
         except (KeyError, TypeError, ValueError) as exc:
             raise tableio.IntegrityError(f"malformed kernel table {stem}: {exc}") from exc
-        if (not 1 <= k <= plan.levels or col.torus != torus or col.source != s
+        if (not 1 <= k <= plan.levels or not 0 <= s < torus.sites
+                or col.torus != torus or col.source != s
                 or col.provenance != f"level:{k}:{tag}"):
             raise tableio.IntegrityError(
                 f"kernel table {stem} does not match manifest entry {key!r}"

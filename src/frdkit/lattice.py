@@ -68,6 +68,14 @@ class LatticeTorus:
             raise LatticeError(f"expected {self.d} coordinates, got {c.shape}")
         return int(np.ravel_multi_index(tuple(c), self.shape))
 
+    def site(self, x) -> int:
+        """Index of x: an integer in [0, sites) as is, else d coordinates (wrapped)."""
+        if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+            if not 0 <= x < self.sites:
+                raise LatticeError(f"site {x} out of range [0, {self.sites})")
+            return int(x)
+        return self.index_of(x)
+
     def coords_of(self, index: int) -> tuple[int, ...]:
         return tuple(int(v) for v in np.unravel_index(int(index), self.shape))
 

@@ -297,12 +297,12 @@ class EllipticOperator:
         mean-zero kernel slice.
         """
         t = self.torus
-        source = x0 if isinstance(x0, (int, np.integer)) else t.index_of(x0)
+        source = t.site(x0)
         rhs = np.zeros((t.sites, t.m, t.m))
         rhs[source] = np.eye(t.m)
         cols, _ = self.solve_green_raw(rhs - rhs.mean(axis=0), tol)
         tag = f"green:{self.coefficients.content_hash()[:12]}"
-        return KernelColumn(t, int(source), cols, tag, tol)
+        return KernelColumn(t, source, cols, tag, tol)
 
 
 def _column_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:

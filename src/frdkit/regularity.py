@@ -331,8 +331,8 @@ def green_pair_difference(op: EllipticOperator, y1, y2) -> LatticeField:
     """
     t = op.torus
     rhs = np.zeros((t.sites, t.m))
-    rhs[t.index_of(y1) if not isinstance(y1, (int, np.integer)) else y1, 0] += 1.0
-    rhs[t.index_of(y2) if not isinstance(y2, (int, np.integer)) else y2, 0] -= 1.0
+    rhs[t.site(y1), 0] += 1.0
+    rhs[t.site(y2), 0] -= 1.0
     u, _ = op.solve_green_raw(rhs)
     return LatticeField(t, u, True)
 
@@ -471,8 +471,7 @@ def kernel_majorant_report(torus: LatticeTorus, x0=0) -> NormReport:
     """Weak norm of the distance majorant dist^(2-d); bounded, reported only."""
     if torus.d < 3:
         raise LatticeError("kernel majorant needs d >= 3")
-    x0 = torus.coords_of(x0) if isinstance(x0, (int, np.integer)) else x0
-    dist = distances_from(torus, x0)
+    dist = distances_from(torus, torus.coords_of(torus.site(x0)))
     vals = np.maximum(dist, 1).astype(np.float64) ** (2 - torus.d)
     p = torus.d / (torus.d - 2)
     wn = weak_norm(vals.reshape(-1, 1), p)
@@ -626,7 +625,7 @@ def projection_bound_check(
     t = op.torus
     if t.d < 3:
         raise LatticeError("projection bound needs d >= 3")
-    source = x0 if isinstance(x0, (int, np.integer)) else t.index_of(x0)
+    source = t.site(x0)
     col = op.green_column(source)
     u = col.values[:, :, 0]
     for cube in cubes:
@@ -678,7 +677,7 @@ def level_decay_report(
     for k in levels:
         worst = {a: 0.0 for a in alpha_orders}
         for s in sources:
-            src = s if isinstance(s, (int, np.integer)) else t.index_of(s)
+            src = t.site(s)
             col = dec.kernels.get((k, src)) or dec.level_kernel_column(k, src)
             stats = dec.far_field_stats(k, src)
             C = np.asarray(stats["constant_block"])
@@ -717,6 +716,5 @@ def level_decay_report(
         prefactors=prefactors,
         asserted=asserted,
         extra={"claimed_levels": claimed, "slope_slack": slope_slack,
-               "sources": [int(s) if isinstance(s, (int, np.integer))
-                           else t.index_of(s) for s in sources]},
+               "sources": [t.site(s) for s in sources]},
     )

@@ -2,15 +2,16 @@
 
 Directional derivatives are estimated by central finite differences of the
 kernel slices along a symmetric coefficient direction, with a Richardson
-consistency check across step sizes.  For the full Green slice at a constant
-base the estimate is validated against exact first-order perturbation theory:
-the derivative of the inverse is minus the inverse times the direction's
-divergence-form operator times the inverse, computable with two extra solves.
+consistency check across step sizes.  For the full Green slice the estimate
+is validated against exact first-order perturbation theory, which holds at
+every elliptic base, constant or not: the derivative of the inverse is minus
+the inverse times the direction's divergence-form operator times the
+inverse, computable with two extra solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,70 +71,65 @@ class DirectionalProbe:
         return out
 
 
-def _resolved_plan(probe: DirectionalProbe) -> DecompositionPlan:
-    return probe.plan or DecompositionPlan.default(probe.base.torus, probe.tol)
+def _slice_at(probe: DirectionalProbe, h: float, level: int | None) -> np.ndarray:
+    """Kernel slice at base + h * direction: the Green slice, or a level's.
+
+    Every solve runs at ``probe.tol``: a level slice comes from the probe's
+    plan (default ``DecompositionPlan.default``) with that solver tolerance.
+    Raises NonEllipticError when the step leaves the elliptic cone.
+    """
+    op = EllipticOperator(probe.shifted(h))
+    if level is None:
+        return op.green_column(probe.source, probe.tol).values
+    plan = replace(probe.plan or DecompositionPlan.default(op.torus),
+                   solver_tol=probe.tol)
+    return Decomposition(op, plan).level_kernel_column(level, probe.source).values
 
 
-def _kernel_at(probe: DirectionalProbe, h: float) -> np.ndarray:
-    A = probe.shifted(h)
-    ellipticity_constants(A)  # raises when the probe leaves the elliptic cone
-    dec = Decomposition(EllipticOperator(A), _resolved_plan(probe))
-    return dec.level_kernel_column(probe.level, probe.source, probe.tol).values
+def _central_differences(probe: DirectionalProbe, level: int | None) -> dict:
+    """Central-difference derivative of the slice at each step, coarsest first."""
+    return {h: (_slice_at(probe, h, level) - _slice_at(probe, -h, level)) / (2 * h)
+            for h in sorted(probe.steps, reverse=True)}
 
 
 def directional_derivative(probe: DirectionalProbe) -> tuple[KernelColumn, dict]:
     """Central-difference derivative of a level kernel slice, with a report.
 
-    Uses the two smallest steps; the reported Richardson ratio compares the
-    step-h and step-h/2 errors against the finer estimate (or the oracle when
-    the caller supplies one via ``report["oracle"]`` comparison helpers).
+    The slice is the estimate at the finest step.  With three or more steps
+    the report's ``richardson_ratio`` is the sup distance between the two
+    coarsest estimates over that between the second and third; the error
+    is second order in the step, so halving steps give a ratio near four.
     """
-    steps = sorted(probe.steps, reverse=True)
-    estimates = {}
-    for h in steps:
-        plus = _kernel_at(probe, +h)
-        minus = _kernel_at(probe, -h)
-        estimates[h] = (plus - minus) / (2 * h)
+    estimates = _central_differences(probe, probe.level)
     hs = list(estimates)
     finest = estimates[hs[-1]]
-    report = {
-        "steps": hs,
-        "margins": probe.margins(),
-        "max_abs": float(np.abs(finest).max()),
-    }
+    report = {"steps": hs, "margins": probe.margins(),
+              "max_abs": float(np.abs(finest).max())}
     if len(hs) >= 3:
         d1 = float(np.abs(estimates[hs[0]] - estimates[hs[1]]).max())
         d2 = float(np.abs(estimates[hs[1]] - estimates[hs[2]]).max())
         report["richardson_ratio"] = d1 / d2 if d2 > 0 else float("inf")
-    t = probe.base.torus
-    col = KernelColumn(
-        t, probe.source, finest,
-        f"derivative:level{probe.level}:h{hs[-1]:g}", probe.tol,
-    )
+    col = KernelColumn(probe.base.torus, probe.source, finest,
+                       f"derivative:level{probe.level}:h{hs[-1]:g}", probe.tol)
     return col, report
 
 
 def green_derivative_estimate(probe: DirectionalProbe) -> tuple[np.ndarray, dict]:
-    """Central differences of the full Green slice (sum over all levels)."""
-    t = probe.base.torus
-    steps = sorted(probe.steps, reverse=True)
-    estimates = {}
-    for h in steps:
-        cols = {}
-        for sign in (+1.0, -1.0):
-            A = probe.shifted(sign * h)
-            cols[sign] = EllipticOperator(A).green_column(
-                probe.source, probe.tol).values
-        estimates[h] = (cols[+1.0] - cols[-1.0]) / (2 * h)
-    report = {"steps": list(estimates), "margins": probe.margins()}
-    return estimates[steps[-1]], {"estimates": estimates, **report}
+    """Central differences of the full Green slice (sum over all levels).
+
+    Returns the finest-step estimate; the report holds every step's
+    estimate under ``estimates``.
+    """
+    estimates = _central_differences(probe, None)
+    report = {"estimates": estimates, "steps": list(estimates), "margins": probe.margins()}
+    return estimates[min(estimates)], report
 
 
 def green_derivative_oracle(probe: DirectionalProbe) -> np.ndarray:
     """Exact first-order change of the Green slice: -(solve, direction-apply, solve).
 
-    One block solve gives the slice's m unit-source columns, and one more
-    solves the direction's images of all of them.
+    Exact at every elliptic base.  One block solve gives the slice's m
+    unit-source columns, and one more solves the direction's images of all.
     """
     t = probe.base.torus
     op = EllipticOperator(probe.base)
@@ -154,15 +150,11 @@ def lipschitz_scan(probe: DirectionalProbe) -> dict:
     """
     if len(probe.steps) < 2:
         raise LatticeError("scan needs at least two steps")
-    base_col = _kernel_at(probe, 0.0)
+    base_col = _slice_at(probe, 0.0, probe.level)
     hs = sorted(probe.steps)
-    dists = []
-    for h in hs:
-        dists.append(float(np.abs(_kernel_at(probe, h) - base_col).max()))
-    logs = np.log(np.array(dists))
-    slope = float(np.polyfit(np.log(np.array(hs)), logs, 1)[0])
-    h0 = hs[0]
-    doubled = float(np.abs(_kernel_at(probe, 2 * h0) - base_col).max())
+    *dists, doubled = [float(np.abs(_slice_at(probe, h, probe.level) - base_col).max())
+                       for h in hs + [2 * hs[0]]]
+    slope = float(np.polyfit(np.log(np.array(hs)), np.log(np.array(dists)), 1)[0])
     return {
         "steps": hs,
         "distances": dists,

@@ -12,9 +12,9 @@ Translates whose anchors agree modulo the coefficient field's exact
 per-axis periods have the same local matrix.  So the average commutes with
 shifts by the periods P: writing a site as x = P*y + rho, with rho in the
 period cell of C classes and y on the coarse grid, it is a block convolution
-over y, diagonal per coarse frequency (its Bloch symbol).  When C is at most
-the cube's site count and the symbol fits a byte budget, the smoother is
-applied through it: an FFT over y, one (C*m, C*m) product per frequency and
+over y, diagonal per coarse frequency (its Bloch symbol).  When the cube is
+wider than one site, C is at most its site count and the symbol fits a byte
+budget, the smoother is applied through it: an FFT over y, one (C*m, C*m) product per frequency and
 the inverse FFT.  Otherwise one inverse per class is cached or, above the
 budget, reassembled on every application, and applied as below.
 
@@ -202,8 +202,9 @@ class AveragingOperator:
 
     ``classes`` counts the coefficient-period classes of translates (0 for
     the whole-torus cube, which has no local solves).  ``symbol`` says
-    whether the smoother is applied through its Bloch symbol: there are at
-    most as many classes as cube sites and the symbol fits
+    whether the smoother is applied through its Bloch symbol: the cube is
+    wider than one site (a cube-1 gather is one pointwise product), there
+    are at most as many classes as cube sites and the symbol fits
     ``_CACHE_BYTE_BUDGET``.  Otherwise the class inverses are gathered
     against, and ``cached`` says whether they fit the same budget.  The
     symbol or the cached inverses are built on first application; apply the
@@ -230,7 +231,7 @@ class AveragingOperator:
         self._windows = cube_windows(t.d, side_length, t.side)
         n = side_length ** t.d * t.m
         self.cached = self.classes * n * n * 8 <= _CACHE_BYTE_BUDGET
-        self.symbol = (self.classes <= side_length ** t.d and
+        self.symbol = (side_length > 1 and self.classes <= side_length ** t.d and
                        16 * t.sites * self.classes * t.m ** 2 <= _CACHE_BYTE_BUDGET)
         if not (self.cached or self.symbol):
             count = min(_CHUNK, self.classes)

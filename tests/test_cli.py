@@ -7,7 +7,8 @@ import pytest
 
 from frdkit import cli
 from frdkit.cli import main
-from frdkit.operators import ConvergenceError, SolveReport
+from frdkit.operators import DEFAULT_TOL, ConvergenceError, EllipticOperator, SolveReport
+from frdkit.sensitivity import PROBE_TOL
 
 BASE_CONFIG = {
     "coefficients": {
@@ -39,6 +40,26 @@ def perturbed_config(d=2, N=2, sources=(0,)):
         },
         "sources": list(sources),
     }
+
+
+def probe_config(**probe):
+    """The perturbed d = 2, side 9 config with a probe section."""
+    cfg = perturbed_config()
+    cfg["probe"] = {"direction_matrix": [[0.3, 0.1], [0.1, -0.2]],
+                    "steps": [1e-3, 5e-4], "level": 1, "source": 0, **probe}
+    return cfg
+
+
+def spy_solves(monkeypatch):
+    """Record the tolerance of every Green solve from now on."""
+    tols = []
+    original = EllipticOperator.solve_green_raw
+
+    def spy(self, f, tol=DEFAULT_TOL, *args, **kwargs):
+        tols.append(tol)
+        return original(self, f, tol, *args, **kwargs)
+    monkeypatch.setattr(EllipticOperator, "solve_green_raw", spy)
+    return tols
 
 
 class TestDecompose:
@@ -81,6 +102,23 @@ class TestDecompose:
         with pytest.raises(SystemExit) as err:
             main(argv + ["--config", cfg])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("sources", [[-1], [81], [1.5], [True], [[0, 1]], 5])
+    def test_bad_sources_exit_2_before_any_solve(self, tmp_path, capsys,
+                                                 monkeypatch, sources):
+        tols = spy_solves(monkeypatch)
+        cfg = write_config(tmp_path, dict(perturbed_config(), sources=sources))
+        out = tmp_path / "x"
+        assert main(["decompose", "--config", cfg, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not tols and not out.exists()
+
+    def test_bad_probe_section_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, probe_config(level=4))
+        out = tmp_path / "x"
+        assert main(["decompose", "--config", cfg, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
 
     def test_deterministic_archives(self, tmp_path):
         # perturbed d=3 build: identical config and seed give identical bytes
@@ -241,6 +279,25 @@ class TestArchiveIntegrity:
         edit_manifest(broken, edit)
         assert_integrity_exit(broken, capsys)
 
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_kernel_source_off_torus_exits_3(self, archive, tmp_path, capsys,
+                                             command):
+        # the level-1 table rewritten for source 999 (the torus has 81
+        # sites), consistent with its header and the manifest
+        from frdkit.tableio import read_table, write_table
+        broken = tampered_copy(archive, tmp_path)
+        values, header = read_table(broken / "kernel_L1_S0")
+        new = write_table(broken / "kernel_L1_S999", values,
+                          dict(header["meta"], source=999))
+
+        def edit(m):
+            del m["kernels"]["1:0"]
+            m["kernels"]["1:999"] = {"stem": "kernel_L1_S999",
+                                     "sha256": new["sha256"]}
+        edit_manifest(broken, edit)
+        assert main([command, str(broken), "--out", str(tmp_path / "r")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "integrity"
+
     def test_manifest_torus_mismatch_exits_3(self, archive, tmp_path, capsys):
         broken = tampered_copy(archive, tmp_path)
         edit_manifest(broken, lambda m: m["torus"].update(N=1))
@@ -346,6 +403,41 @@ class TestProbe:
         green = next(r for r in recs if r["check"] == "green_derivative")
         assert green["oracle_rel_error"] <= 1e-4
         assert 3.0 <= green["richardson_ratio"] <= 5.0
+
+    def test_oracle_at_perturbed_base(self, tmp_path):
+        path = write_config(tmp_path, probe_config())
+        out = tmp_path / "probe"
+        assert main(["probe", "--config", path, "--out", str(out)]) == 0
+        recs = [json.loads(l) for l in
+                (out / "probe.jsonl").read_text().splitlines()]
+        green = next(r for r in recs if r["check"] == "green_derivative")
+        assert green["oracle_rel_error"] <= 1e-4
+        assert 3.0 <= green["richardson_ratio"] <= 5.0
+
+    def test_every_solve_at_probe_tolerance(self, tmp_path, monkeypatch):
+        tols = spy_solves(monkeypatch)
+        path = write_config(tmp_path, probe_config(scan_steps=[1e-2, 5e-3]))
+        assert main(["probe", "--config", path,
+                     "--out", str(tmp_path / "p")]) == 0
+        assert tols and max(tols) <= PROBE_TOL
+
+    @pytest.mark.parametrize("probe", [{"source": 999}, {"source": -1},
+                                       {"source": 1.5}, {"level": 7},
+                                       {"level": True}])
+    def test_bad_probe_site_or_level_exits_2(self, tmp_path, capsys,
+                                             monkeypatch, probe):
+        tols = spy_solves(monkeypatch)
+        path = write_config(tmp_path, probe_config(**probe))
+        out = tmp_path / "p"
+        assert main(["probe", "--config", path, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not tols and not out.exists()
+
+    def test_zero_direction_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, probe_config(direction_matrix=[[0.0, 0.0],
+                                                                      [0.0, 0.0]]))
+        assert main(["probe", "--config", path, "--out", str(tmp_path / "p")]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
 
     def test_probe_requires_section(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG)

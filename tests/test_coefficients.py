@@ -123,11 +123,14 @@ class TestSmoothnessNorm:
 
 
 def periodic_field(kind, d):
-    """Constant, one-mode, two-mode (d = 3) or random coefficients on side 9."""
+    """Coefficients on side 9: constant, one mode along the first or last axis,
+    a frequency-3 mode (period 3), two modes (d = 3) or random."""
     t = LatticeTorus(d, 1, 3, 2)
     if kind == "random":
         return random_operator(d, N=2, seed=5).coefficients
     freqs = {"constant": [], "one-mode": [(1,) + (0,) * (d - 1)],
+             "last-axis": [(0,) * (d - 1) + (1,)],
+             "period-3": [(3,) + (0,) * (d - 1)],
              "two-mode": [(1, 0, 0), (0, 3, 0)]}[kind]
     spec = PerturbationSpec(np.eye(d), 0.05, tuple(
         TrigMode(f, np.eye(d), phase=0.3) for f in freqs), budget=1000.0)
@@ -135,9 +138,15 @@ def periodic_field(kind, d):
 
 
 @pytest.mark.parametrize("kind,d", [("constant", 2), ("one-mode", 2), ("one-mode", 3),
-                                    ("two-mode", 3), ("random", 2)])
+                                    ("two-mode", 3), ("random", 2), ("constant", 1),
+                                    ("one-mode", 1), ("last-axis", 3), ("period-3", 2),
+                                    ("period-3", 3)])
 def test_period_cell_checks_equal_full_site_sweeps(kind, d):
-    """Ellipticity and smoothness read one period cell, bit-identically."""
+    """Ellipticity and smoothness read one period cell, bit-identically.
+
+    Sides are odd, so periods are odd: 1 and 3 lie at or below the 3-site
+    padding of the smoothness differences, 9 above it.
+    """
     A = periodic_field(kind, d)
     t = A.torus
     md = t.m * t.d

@@ -192,7 +192,7 @@ class TestBuildAndArchive:
         dec = build_decomposition(make(2), sources=[0])
         assert dec.manifest["smoothers"] == [
             {"cube_side": 1, "classes": classes, "cached": True,
-             "symbol": classes <= 1},
+             "symbol": False},
             {"cube_side": 3, "classes": classes, "cached": True,
              "symbol": classes <= 9},
         ]

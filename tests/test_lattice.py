@@ -51,6 +51,17 @@ class TestGeometry:
             assert t.index_of(t.coords_of(idx)) == idx
         assert t.index_of((9, 9)) == 0  # canonical wrap
 
+    def test_site_resolves_indices_and_coordinates(self):
+        t = LatticeTorus(2, 1, 3, 2)
+        assert [t.site(x) for x in (0, np.int64(40), t.sites - 1)] == [0, 40, 80]
+        assert type(t.site(np.int32(7))) is int
+        assert t.site((1, 2)) == 11 and t.site([9, -1]) == 8  # coordinates wrap
+
+    @pytest.mark.parametrize("x", [-1, 81, np.int64(-1), True, 1.5, (0, 1, 2)])
+    def test_site_rejects_off_torus_and_non_indices(self, x):
+        with pytest.raises(LatticeError):
+            LatticeTorus(2, 1, 3, 2).site(x)
+
     def test_dist_identity(self):
         t = LatticeTorus(2, 1, 3, 2)
         assert dist_inf((3, 4), (3, 4), t) == 0

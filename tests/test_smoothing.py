@@ -318,7 +318,7 @@ def gather_of(op, side_length):
 class TestBlochSymbol:
     def test_choice_rule(self, monkeypatch):
         const, mode = identity_operator(2), perturbed_operator(2)
-        assert all(AveragingOperator(const, l).symbol for l in range(1, 9))
+        assert [AveragingOperator(const, l).symbol for l in range(1, 9)] == [False] + [True] * 7
         assert [AveragingOperator(mode, l).symbol for l in (1, 3)] == [False, True]
         assert not any(AveragingOperator(random_operator(2), l).symbol for l in range(1, 9))
         monkeypatch.setattr(smoothing, "_CACHE_BYTE_BUDGET", 0)
