@@ -1,11 +1,11 @@
 """Command-line front end: decompose, verify, report, sample, probe.
 
-Configs are strict JSON: unknown keys are hard errors so a misspelled budget
-or radius cannot silently fall back to a default.  All outputs are written
-atomically; reports are JSON lines plus a fixed-column CSV summary.  Exit
-codes: 0 success, 1 failed asserted checks, 2 configuration or usage errors
-(a plan whose local solves exceed the memory budget among them), 3 archive
-integrity errors.
+Configs are strict JSON: unknown keys and ill-typed values are hard errors so
+a misspelled budget cannot silently fall back to a default.  All outputs are
+written atomically; reports are JSON lines plus a fixed-column CSV summary.
+Exit codes: 0 success, 1 failed asserted checks or solves, 2 configuration or
+usage errors (a plan whose local solves exceed the memory budget among them),
+3 archive integrity errors.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .lattice import LatticeError
 from .coefficients import (
-    BudgetError,
+    COEFFICIENT_SCHEMA,
     CoefficientField,
     NonEllipticError,
     make_perturbed,
@@ -28,6 +28,7 @@ from .coefficients import (
 )
 from .operators import ConvergenceError, EllipticOperator, ORACLE_SITE_LIMIT
 from .decomposition import (
+    PLAN_SCHEMA,
     DecompositionPlan,
     build_decomposition,
     load_archive,
@@ -51,9 +52,12 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
 
-_CONFIG_KEYS = {"coefficients", "plan", "sources"}
-_PLAN_KEYS = {"cube_sides", "range_radii", "solver_tol"}
-_PROBE_KEYS = {"direction_matrix", "steps", "level", "source", "scan_steps"}
+#: The config format (kinds as ``tableio.check_json`` reads them).
+CONFIG_SCHEMA = {
+    "coefficients": COEFFICIENT_SCHEMA, "plan?": PLAN_SCHEMA, "sources?": ("all", [int]),
+    "probe?": {"direction_matrix": tableio.MATRIX, "steps?": [float], "level?": int,
+               "source?": int, "scan_steps?": [float]},
+}
 
 
 def _error(kind: str, message: str, code: int) -> int:
@@ -63,47 +67,21 @@ def _error(kind: str, message: str, code: int) -> int:
 
 def load_config(path: str) -> dict:
     cfg = json.loads(Path(path).read_text())
-    unknown = set(cfg) - (_CONFIG_KEYS | {"probe"})
-    if unknown:
-        raise LatticeError(f"unknown config keys: {sorted(unknown)}")
-    if "coefficients" not in cfg:
-        raise LatticeError("config requires a 'coefficients' section")
+    tableio.check_json(cfg, CONFIG_SCHEMA, "config")
     return cfg
-
-
-def _config_int(value, what: str) -> int:
-    """A JSON integer from a config (a bool is not one)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise LatticeError(f"{what} {value!r} is not an integer")
-    return value
 
 
 def build_from_config(cfg: dict):
     """Operator, plan and sources; sites and the probe level are checked first."""
     torus, spec = spec_from_config(cfg["coefficients"])
-    plan_cfg = cfg.get("plan", {})
-    unknown = set(plan_cfg) - _PLAN_KEYS
-    if unknown:
-        raise LatticeError(f"unknown plan keys: {sorted(unknown)}")
-    default = DecompositionPlan.default(torus)
-    plan = DecompositionPlan(
-        tuple(int(v) for v in plan_cfg.get("cube_sides", default.cube_sides)),
-        tuple(float(v) for v in plan_cfg.get("range_radii", default.range_radii)),
-        float(plan_cfg.get("solver_tol", default.solver_tol)),
-    )
+    plan = DecompositionPlan.from_json({**DecompositionPlan.default(torus).to_json(),
+                                        **cfg.get("plan", {})})
     plan.validate_for(torus)
     sources = cfg.get("sources", [0])
-    if sources == "all":
-        sources = list(range(torus.sites))
-    if not isinstance(sources, list):
-        raise LatticeError('sources must be a list of site indices or "all"')
-    sources = [torus.site(_config_int(s, "source")) for s in sources]
+    sources = [torus.site(s) for s in (range(torus.sites) if sources == "all" else sources)]
     pcfg = cfg.get("probe", {})
-    unknown = set(pcfg) - _PROBE_KEYS
-    if unknown:
-        raise LatticeError(f"unknown probe keys: {sorted(unknown)}")
-    torus.site(_config_int(pcfg.get("source", 0), "probe source"))
-    if not 1 <= _config_int(pcfg.get("level", 1), "probe level") <= plan.levels:
+    torus.site(pcfg.get("source", 0))
+    if not 1 <= pcfg.get("level", 1) <= plan.levels:
         raise LatticeError(f"probe level must lie in 1..{plan.levels}")
     return EllipticOperator(make_perturbed(spec, torus)), plan, sources
 
@@ -114,11 +92,10 @@ def cmd_decompose(args) -> int:
         op, plan, sources = build_from_config(cfg)
         dec = build_decomposition(op, plan, sources)
         if args.seed is not None:
-            dec.manifest["seed"] = int(args.seed)
+            dec.manifest["seed"] = args.seed
         out = Path(args.out or "archive")
         save_archive(dec, out)
-    except (LatticeError, NonEllipticError, BudgetError,
-            json.JSONDecodeError, OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every config error is a ValueError
         return _error("config", str(exc), EXIT_CONFIG)
     except ConvergenceError as exc:
         return _error("solver", str(exc), EXIT_CHECK_FAILED)
@@ -137,7 +114,7 @@ def _write_reports(records, out_dir: Path, stem: str) -> None:
 def cmd_verify(args) -> int:
     dec = load_archive(args.archive)
     try:
-        records = run_suites(dec, args.suite, seed=args.seed or 0)
+        records = run_suites(dec, args.suite, seed=args.seed)
     except (LatticeError, ConvergenceError, ValueError) as exc:
         return _error("check", str(exc), EXIT_CHECK_FAILED)
     out = Path(args.out or Path(args.archive) / "reports")
@@ -170,7 +147,10 @@ def cmd_report(args) -> int:
             ))
     t = dec.op.torus
     if t.d >= 3:
-        col = dec.op.green_column(sources[0], dec.plan.solver_tol)
+        try:
+            col = dec.op.green_column(sources[0], dec.plan.solver_tol)
+        except ConvergenceError as exc:
+            return _error("solver", str(exc), EXIT_CHECK_FAILED)
         for j in (0, 1, 2):
             records.append(regularity.green_decay_check(col, j))
         records.append(regularity.kernel_majorant_report(t, sources[0]))
@@ -186,17 +166,16 @@ def cmd_sample(args) -> int:
     if t.sites * t.m > ORACLE_SITE_LIMIT:
         return _error("config", f"sampling needs sites*m <= {ORACLE_SITE_LIMIT}",
                       EXIT_CONFIG)
-    count = int(args.count)
-    if count == 0:
+    if args.count == 0:
         print("no samples requested")
         return EXIT_OK
     try:
         mats = dense_level_matrices(dec)
     except ConvergenceError as exc:
         return _error("solver", str(exc), EXIT_CHECK_FAILED)
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     n = t.sites * t.m
-    total = np.zeros((count, n))
+    total = np.zeros((args.count, n))
     clip_log = []
     for k, mat in enumerate(mats, start=1):
         w, V = np.linalg.eigh(mat)
@@ -207,16 +186,15 @@ def cmd_sample(args) -> int:
         clipped = np.clip(w, 0.0, None)
         clip_log.append({"level": k, "max_clip": float((clipped - w).max())})
         factor = V * np.sqrt(clipped)
-        xi = rng.standard_normal((n, count))
+        xi = rng.standard_normal((n, args.count))
         total += (factor @ xi).T
     out = Path(args.out or Path(args.archive) / "samples")
     out.mkdir(parents=True, exist_ok=True)
-    tableio.write_table(out / "samples", total.reshape(count, t.sites, t.m),
-                        meta={"kind": "samples", "seed": int(args.seed or 0),
-                              "count": count})
+    tableio.write_table(out / "samples", total.reshape(args.count, t.sites, t.m),
+                        meta={"kind": "samples", "seed": args.seed, "count": args.count})
     tableio.atomic_write_text(out / "sampling_log.json",
                               tableio.json_dumps({"clips": clip_log}))
-    print(f"{count} samples written to {out}")
+    print(f"{args.count} samples written to {out}")
     return EXIT_OK
 
 
@@ -239,8 +217,7 @@ def cmd_probe(args) -> int:
             plan=plan,
             tol=min(plan.solver_tol, PROBE_TOL),
         )
-    except (LatticeError, NonEllipticError, BudgetError, json.JSONDecodeError,
-            OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # every config error is a ValueError
         return _error("config", str(exc), EXIT_CONFIG)
 
     records = []
@@ -270,6 +247,14 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(text: str) -> int:
+    """argparse type of ``--count`` and ``--seed``: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frdkit",
@@ -280,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="build and archive a decomposition")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative, default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run verification suites on an archive")
@@ -289,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["range", "positivity", "reconstruction", "decay",
                             "regularity", "all"])
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="write reported-only diagnostics")
@@ -299,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw Gaussian fields from the levels")
     p.add_argument("archive")
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_non_negative, required=True)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 

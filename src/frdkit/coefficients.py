@@ -221,38 +221,22 @@ def make_perturbed(spec: PerturbationSpec, torus: LatticeTorus) -> CoefficientFi
 # ---------------------------------------------------------------------------
 # structured-text coefficient specs and binary export
 
-_SPEC_KEYS = {"d", "m", "L", "N", "A0", "modes", "epsilon", "budget"}
-_MODE_KEYS = {"frequency", "amplitude", "phase"}
+#: The coefficient section of a config (kinds as ``tableio.check_json`` reads them).
+COEFFICIENT_SCHEMA = {
+    "d": int, "m": int, "L": int, "N": int, "A0": tableio.MATRIX, "epsilon": float,
+    "budget?": float,
+    "modes?": [{"frequency": [int], "amplitude": tableio.MATRIX, "phase?": float}],
+}
 
 
 def spec_from_config(cfg: dict) -> tuple[LatticeTorus, PerturbationSpec]:
-    """Parse the coefficient section of a config dict; unknown keys are errors."""
-    unknown = set(cfg) - _SPEC_KEYS
-    if unknown:
-        raise LatticeError(f"unknown coefficient config keys: {sorted(unknown)}")
-    missing = {"d", "m", "L", "N", "A0", "epsilon"} - set(cfg)
-    if missing:
-        raise LatticeError(f"missing coefficient config keys: {sorted(missing)}")
-    torus = LatticeTorus(int(cfg["d"]), int(cfg["m"]), int(cfg["L"]), int(cfg["N"]))
-    modes = []
-    for raw in cfg.get("modes", []):
-        unknown = set(raw) - _MODE_KEYS
-        if unknown:
-            raise LatticeError(f"unknown mode keys: {sorted(unknown)}")
-        modes.append(
-            TrigMode(
-                frequency=tuple(int(f) for f in raw["frequency"]),
-                amplitude=np.asarray(raw["amplitude"], dtype=np.float64),
-                phase=float(raw.get("phase", 0.0)),
-            )
-        )
-    spec = PerturbationSpec(
-        base=np.asarray(cfg["A0"], dtype=np.float64),
-        epsilon=float(cfg["epsilon"]),
-        modes=tuple(modes),
-        budget=float(cfg["budget"]) if "budget" in cfg else None,
-    )
-    return torus, spec
+    """Parse the coefficient section of a config; it must fit ``COEFFICIENT_SCHEMA``."""
+    tableio.check_json(cfg, COEFFICIENT_SCHEMA, "coefficients")
+    modes = tuple(TrigMode(tuple(mode["frequency"]), np.asarray(mode["amplitude"], float),
+                           float(mode.get("phase", 0.0))) for mode in cfg.get("modes", []))
+    spec = PerturbationSpec(np.asarray(cfg["A0"], dtype=np.float64), float(cfg["epsilon"]),
+                            modes, float(cfg["budget"]) if "budget" in cfg else None)
+    return LatticeTorus(cfg["d"], cfg["m"], cfg["L"], cfg["N"]), spec
 
 
 def export_table(A: CoefficientField, stem) -> dict:

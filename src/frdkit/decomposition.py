@@ -107,11 +107,12 @@ class DecompositionPlan:
 
     @staticmethod
     def from_json(obj: dict) -> "DecompositionPlan":
-        return DecompositionPlan(
-            tuple(int(v) for v in obj["cube_sides"]),
-            tuple(float(v) for v in obj["range_radii"]),
-            float(obj["solver_tol"]),
-        )
+        radii = tuple(float(v) for v in obj["range_radii"])
+        return DecompositionPlan(tuple(obj["cube_sides"]), radii, float(obj["solver_tol"]))
+
+
+#: The plan in a config (keys left out take their defaults) and in a manifest.
+PLAN_SCHEMA = {"cube_sides?": [int], "range_radii?": [float], "solver_tol?": float}
 
 
 class Decomposition:
@@ -328,45 +329,16 @@ def save_archive(dec: Decomposition, directory: Path | str) -> Path:
     return directory
 
 
-#: Manifest fields every archive must carry, with their JSON types.
-_MANIFEST_FIELDS = {
-    "format": str,
-    "torus": dict,
-    "plan": dict,
-    "levels": int,
-    "sources": list,
-    "coefficient_hash": str,
-    "kernels": dict,
+#: The manifest.  Keys it does not name are admitted: archives written while
+#: the ``threads`` option existed still carry it.
+MANIFEST_SCHEMA = {
+    "format": ARCHIVE_FORMAT, "torus": {"d": int, "m": int, "L": int, "N": int},
+    "plan": PLAN_SCHEMA, "levels": int, "sources": [int], "coefficient_hash": str,
+    "kernels": {str: {"stem": str, "sha256": str}},
+    "solver?": {"iterations": int, "residual": float}, "created?": str, "seed?": int,
+    "smoothers?": [{"cube_side": int, "classes": int, "cached": bool, "symbol?": bool}],
+    str: object,
 }
-
-
-def _check_manifest(manifest) -> None:
-    if not isinstance(manifest, dict):
-        raise tableio.IntegrityError("manifest is not a JSON object")
-    for key, kind in _MANIFEST_FIELDS.items():
-        value = manifest.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise tableio.IntegrityError(
-                f"manifest field {key!r} is missing or not of type {kind.__name__}"
-            )
-    if manifest["format"] != ARCHIVE_FORMAT:
-        raise tableio.IntegrityError(
-            f"unsupported archive format {manifest['format']!r}"
-        )
-
-
-def _kernel_entry(key: str, entry) -> tuple[int, int, str, str]:
-    """Level, source, stem and hash of one manifest kernel entry."""
-    try:
-        k, s = (int(v) for v in key.split(":"))
-        stem, sha = entry["stem"], entry["sha256"]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise tableio.IntegrityError(f"malformed kernel entry {key!r}") from exc
-    if not (isinstance(stem, str) and isinstance(sha, str)):
-        raise tableio.IntegrityError(f"malformed kernel entry {key!r}")
-    if stem in ("", ".", "..") or "/" in stem or "\\" in stem:
-        raise tableio.IntegrityError(f"kernel stem {stem!r} is not a plain file name")
-    return k, s, stem, sha
 
 
 def load_archive(directory: Path | str) -> Decomposition:
@@ -375,16 +347,16 @@ def load_archive(directory: Path | str) -> Decomposition:
     Each table must match its own header and the hash the manifest recorded
     for it; each kernel's torus, source and provenance must match its
     manifest key and the archived coefficients.  Any mismatch, or a manifest
-    field missing or of the wrong type, raises ``IntegrityError``.
+    that does not fit ``MANIFEST_SCHEMA``, raises ``IntegrityError``.
     """
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise tableio.IntegrityError(f"unreadable manifest: {exc}") from exc
-    _check_manifest(manifest)
     try:
-        torus = LatticeTorus(**{a: int(manifest["torus"][a]) for a in "dmLN"})
+        tableio.check_json(manifest, MANIFEST_SCHEMA, "manifest")
+        torus = LatticeTorus(**manifest["torus"])
         plan = DecompositionPlan.from_json(manifest["plan"])
         plan.validate_for(torus)
         coeff = import_table(directory / "coefficients")
@@ -403,11 +375,14 @@ def load_archive(directory: Path | str) -> Decomposition:
     dec.manifest = manifest
     tag = manifest["coefficient_hash"][:12]
     for key, entry in manifest["kernels"].items():
-        k, s, stem, sha = _kernel_entry(key, entry)
+        stem = entry["stem"]
+        if stem in ("", ".", "..") or "/" in stem or "\\" in stem:
+            raise tableio.IntegrityError(f"kernel stem {stem!r} is not a plain file name")
         try:
-            col = KernelColumn.import_table(directory / stem, sha)
+            k, s = (int(v) for v in key.split(":"))
+            col = KernelColumn.import_table(directory / stem, entry["sha256"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise tableio.IntegrityError(f"malformed kernel table {stem}: {exc}") from exc
+            raise tableio.IntegrityError(f"malformed kernel entry {key!r}: {exc}") from exc
         if (not 1 <= k <= plan.levels or not 0 <= s < torus.sites
                 or col.torus != torus or col.source != s
                 or col.provenance != f"level:{k}:{tag}"):

@@ -196,9 +196,11 @@ class AveragingOperator:
     In the energy form the average is positive but on a lattice it is not a
     contraction: cubes that only overlap the one-site stencil ring of a bump
     still collect energy, pushing the top of its spectrum above one (about
-    1.22 at cube side 3).  The spectrum stays inside [0, 2), which is what
-    makes every complement a strict energy contraction and every level of
-    the decomposition positive.
+    1.22 at cube side 3).  Level k is positive when the spectrum of its
+    ``smooth`` lies in [0, 2], and level 1 only then.  Cube side 1 is block
+    Jacobi, and its top eigenvalue exceeds 2 for anisotropic coefficients
+    (up to 2.67, ROADMAP item 1), which leaves level 1 indefinite; at cube
+    side 3 it stayed at or below 1.39 in every case tried.
 
     ``classes`` counts the coefficient-period classes of translates (0 for
     the whole-torus cube, which has no local solves).  ``symbol`` says

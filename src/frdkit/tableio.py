@@ -12,10 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import reprlib
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from .lattice import LatticeError
 
 
 class IntegrityError(RuntimeError):
@@ -50,6 +53,52 @@ def atomic_write_text(path: Path, text: str) -> None:
 def json_dumps(obj) -> str:
     """Canonical JSON used everywhere a file must be byte-reproducible."""
     return json.dumps(obj, sort_keys=True, separators=(", ", ": "), indent=2) + "\n"
+
+
+#: The Python types that fit each kind of ``check_json`` that is a type, and its name.
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+          str: (str, "a string"), bool: (bool, "a boolean"), object: (object, "a value"),
+          list: (list, "a list"), dict: (dict, "an object")}
+#: A matrix: a number (that multiple of the identity) or rows of numbers.
+MATRIX = (float, [[float]])
+
+
+def check_json(value, kind, where: str) -> None:
+    """Raise ``LatticeError``, naming the value ``where``, unless it is of ``kind``.
+
+    A kind is ``int``, ``float`` (any number, not a bool), ``str``, ``bool``,
+    ``object`` (anything), a string to equal, ``[kind]`` (a list), a tuple
+    (any one of its kinds) or a dict: an object with the keys it names, ``?``
+    marking the optional ones, and the key ``str`` giving the kind of any other.
+    """
+    if isinstance(kind, tuple):
+        errors = []
+        for alternative in kind:
+            try:
+                return check_json(value, alternative, where)
+            except LatticeError as exc:
+                errors.append(str(exc))
+        raise LatticeError("; or ".join(errors))
+    if isinstance(kind, str):
+        fits, name = value == kind, repr(kind)
+    else:
+        types, name = _KINDS[kind if isinstance(kind, type) else type(kind)]
+        fits = isinstance(value, types) and (kind in (bool, object)
+                                             or not isinstance(value, bool))
+    if not fits:
+        raise LatticeError(f"{where} must be {name}, not {reprlib.repr(value)}")
+    if isinstance(kind, list):
+        for i, item in enumerate(value):
+            check_json(item, kind[0], f"{where}[{i}]")
+    elif isinstance(kind, dict):
+        named = {key.rstrip("?"): key for key in kind if key is not str}
+        for name, key in named.items():
+            if name == key and name not in value:
+                raise LatticeError(f"{where} requires the key {name!r}")
+        for name, item in value.items():
+            if name not in named and str not in kind:
+                raise LatticeError(f"unknown key {name!r} in {where}")
+            check_json(item, kind[named.get(name, str)], f"{where}.{name}")
 
 
 def write_table(stem: Path | str, array: np.ndarray, meta: dict | None = None) -> dict:

@@ -186,8 +186,10 @@ def decay_suite(dec: Decomposition) -> list:
     return records
 
 
-def regularity_suite(n_seeds: int = 100) -> list[NormReport]:
-    """The frozen-constant corpus: every check on every seed, both dimensions."""
+def regularity_suite(n_seeds: int | None = None) -> list[NormReport]:
+    """The frozen-constant corpus, by default over the seeds it was swept on."""
+    if n_seeds is None:
+        n_seeds = calibration.CALIBRATION["corpus_seeds"]
     records = []
     for i in range(n_seeds):
         records.extend(calibration.corpus_records(i))

@@ -1,5 +1,7 @@
 from frdkit.calibration import _sweep_key, auxiliary_records, corpus_records, run_sweep
-from frdkit.constants import SWEPT_CONSTANTS
+from frdkit import calibration
+from frdkit.constants import CALIBRATION, SWEPT_CONSTANTS
+from frdkit.verification import regularity_suite
 
 
 def test_sweep_reproduces_the_frozen_constants():
@@ -16,3 +18,11 @@ def test_records_carry_the_frozen_constants():
         if expected is None:
             expected = SWEPT_CONSTANTS[_sweep_key(rec.check)]
         assert rec.constant == expected, rec.check
+
+
+def test_regularity_suite_runs_the_swept_corpus(monkeypatch):
+    seeds = []
+    monkeypatch.setattr(calibration, "corpus_records", lambda i: seeds.append(i) or [])
+    monkeypatch.setitem(CALIBRATION, "corpus_seeds", 3)
+    regularity_suite()
+    assert seeds == [0, 1, 2]

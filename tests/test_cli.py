@@ -62,6 +62,70 @@ def spy_solves(monkeypatch):
     return tols
 
 
+def edited(cfg, path, value):
+    """A copy of ``cfg`` with the value at ``path`` (keys and list indices) replaced."""
+    if not path:
+        return value
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+#: Malformed config values: each raised an uncaught TypeError, was silently
+#: coerced to another value, or was ignored by ``decompose``.
+MALFORMED = [
+    ((), 5),
+    (("coefficients",), 5),
+    (("plan",), 5),
+    (("probe",), 5),
+    (("coefficients", "d"), [2]),
+    (("coefficients", "d"), "2"),
+    (("coefficients", "d"), 2.5),
+    (("coefficients", "m"), None),
+    (("coefficients", "epsilon"), None),
+    (("coefficients", "epsilon"), [0.1]),
+    (("coefficients", "budget"), None),
+    (("coefficients", "modes"), 5),
+    (("coefficients", "modes"), [5]),
+    (("coefficients", "modes", 0, "frequency"), 5),
+    (("coefficients", "modes", 0, "frequency"), [1.5, 0]),
+    (("coefficients", "modes", 0, "phase"), None),
+    (("plan", "cube_sides"), 5),
+    (("plan", "cube_sides"), [1.5, 3]),
+    (("plan", "range_radii"), 5),
+    (("plan", "range_radii"), [None]),
+    (("plan", "solver_tol"), None),
+    (("plan", "solver_tol"), [1]),
+    (("probe", "steps"), 5),
+    (("probe", "steps"), [None]),
+    (("probe", "scan_steps"), 5),
+]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command", ["decompose", "probe"])
+    @pytest.mark.parametrize("path,value", MALFORMED, ids=[
+        ".".join(map(str, ("config",) + path)) + "=" + json.dumps(value)
+        for path, value in MALFORMED])
+    def test_malformed_value_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                      monkeypatch, command,
+                                                      path, value):
+        tols = spy_solves(monkeypatch)
+        cfg = write_config(tmp_path, edited(probe_config(), path, value))
+        out = tmp_path / "x"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"] == "config"
+        assert not tols and not out.exists()
+
+    def test_scalar_A0_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, edited(BASE_CONFIG, ("coefficients", "A0"), 1.0))
+        assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+
+
 class TestDecompose:
     def test_minimal_run(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -298,6 +362,22 @@ class TestArchiveIntegrity:
         assert main([command, str(broken), "--out", str(tmp_path / "r")]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "integrity"
 
+    @pytest.mark.parametrize("path,value", [(("torus", "d"), 2.5),
+                                            (("plan", "cube_sides"), "x"),
+                                            (("kernels", "1:0", "stem"), 5)])
+    def test_manifest_nested_type_exits_3(self, archive, tmp_path, capsys,
+                                          path, value):
+        broken = tampered_copy(archive, tmp_path)
+        edit_manifest(broken, lambda m: m.update(edited(m, path, value)))
+        assert_integrity_exit(broken, capsys)
+
+    def test_manifest_extra_key_loads(self, archive, tmp_path):
+        # archives written while the threads option existed carry it
+        copy = tampered_copy(archive, tmp_path)
+        edit_manifest(copy, lambda m: m.update(threads=1))
+        assert main(["verify", str(copy), "--suite", "range",
+                     "--out", str(tmp_path / "r")]) == 0
+
     def test_manifest_torus_mismatch_exits_3(self, archive, tmp_path, capsys):
         broken = tampered_copy(archive, tmp_path)
         edit_manifest(broken, lambda m: m["torus"].update(N=1))
@@ -314,6 +394,19 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as err:
         main(["--help"])
     assert err.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [["sample", "--count", "-1"],
+                                  ["sample", "--count", "4", "--seed", "-1"],
+                                  ["verify", "--suite", "positivity", "--seed", "-2"],
+                                  ["decompose", "--seed", "-3"]])
+def test_negative_count_or_seed_is_a_usage_error(sample_archive, tmp_path, argv):
+    where = (["--config", write_config(tmp_path, BASE_CONFIG)] if argv[0] == "decompose"
+             else [str(sample_archive)])
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(argv[:1] + where + argv[1:] + ["--out", str(out)])
+    assert err.value.code == 2 and not out.exists()
 
 
 class TestVerifyDeterminism:
@@ -337,6 +430,18 @@ class TestReport:
                 (out / "report.jsonl").read_text().splitlines()]
         checks = {r["check"] for r in recs}
         assert {"level_decay", "far_field_spread", "green_decay"} <= checks
+
+
+    def test_solver_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, perturbed_config(d=3, N=1))
+        arch = tmp_path / "arch"
+        assert main(["decompose", "--config", cfg, "--out", str(arch)]) == 0
+
+        def diverging(self, f, tol=DEFAULT_TOL, *args, **kwargs):
+            raise ConvergenceError("no convergence", SolveReport(1, 1.0, tol))
+        monkeypatch.setattr(EllipticOperator, "solve_green_raw", diverging)
+        assert main(["report", str(arch), "--out", str(tmp_path / "rep")]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "solver"
 
 
 class TestSample:
