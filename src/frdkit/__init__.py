@@ -1,9 +1,10 @@
 """Finite range decompositions of lattice Green operators.
 
 Splits the inverse of a variable-coefficient divergence-form operator on a
-periodic lattice into positive levels whose kernels are constant beyond a
-per-level radius, and verifies the construction: telescoping, range,
-positivity, kernel decay, coefficient sensitivity, and the discrete
+periodic lattice into levels whose kernels sum to its Green kernel and are
+constant beyond a per-level radius, and verifies the construction:
+reconstruction, range, positivity (not every level is positive for every
+coefficient), kernel decay, coefficient sensitivity, and the discrete
 regularity estimates behind the bounds.
 """
 

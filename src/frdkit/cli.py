@@ -26,7 +26,7 @@ from .coefficients import (
     make_perturbed,
     spec_from_config,
 )
-from .operators import ConvergenceError, EllipticOperator, ORACLE_SITE_LIMIT
+from .operators import ConvergenceError, EllipticOperator, KernelColumn, ORACLE_SITE_LIMIT
 from .decomposition import (
     PLAN_SCHEMA,
     DecompositionPlan,
@@ -91,8 +91,6 @@ def cmd_decompose(args) -> int:
         cfg = load_config(args.config)
         op, plan, sources = build_from_config(cfg)
         dec = build_decomposition(op, plan, sources)
-        if args.seed is not None:
-            dec.manifest["seed"] = args.seed
         out = Path(args.out or "archive")
         save_archive(dec, out)
     except (OSError, ValueError) as exc:  # every config error is a ValueError
@@ -130,30 +128,31 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Reported-only diagnostics: decay tables, far-field spread, majorants."""
+    """Reported-only diagnostics from the archived kernels: decay tables,
+    far-field spreads, Green decay of their sum, majorants."""
     dec = load_archive(args.archive)
-    records: list = []
-    sources = sorted({s for (_, s) in dec.kernels}) or [0]
-    records.append(regularity.level_decay_report(dec, sources, (0, 1, 2)))
-    for k in range(1, dec.plan.levels + 1):
-        for s in sources:
-            stats = dec.far_field_stats(k, s)
-            records.append(NormReport(
-                check="far_field_spread",
-                params={"level": k, "source": s},
-                lhs=stats["far_spread"], rhs=stats["max_abs"],
-                constant=float("inf"), asserted=False,
-                extra=stats,
-            ))
     t = dec.op.torus
-    if t.d >= 3:
-        try:
-            col = dec.op.green_column(sources[0], dec.plan.solver_tol)
-        except ConvergenceError as exc:
-            return _error("solver", str(exc), EXIT_CHECK_FAILED)
-        for j in (0, 1, 2):
-            records.append(regularity.green_decay_check(col, j))
-        records.append(regularity.kernel_majorant_report(t, sources[0]))
+    sources = dec.sources
+    try:
+        records: list = [regularity.level_decay_report(dec, sources, (0, 1, 2))]
+        for k in range(1, dec.plan.levels + 1):
+            for s in sources:
+                stats = dec.far_field_stats(k, s)
+                records.append(NormReport(
+                    check="far_field_spread",
+                    params={"level": k, "source": s},
+                    lhs=stats["far_spread"], rhs=stats["max_abs"],
+                    constant=float("inf"), asserted=False,
+                    extra=stats,
+                ))
+        if t.d >= 3:
+            green = KernelColumn(t, sources[0], dec.kernel_sum(sources[0]),
+                                 "levels", dec.plan.solver_tol)
+            for j in (0, 1, 2):
+                records.append(regularity.green_decay_check(green, j))
+            records.append(regularity.kernel_majorant_report(t, sources[0]))
+    except ConvergenceError as exc:
+        return _error("solver", str(exc), EXIT_CHECK_FAILED)
     out = Path(args.out or Path(args.archive) / "reports")
     _write_reports(records, out, "report")
     print(f"{len(records)} report records written to {out}")
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="build and archive a decomposition")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=_non_negative, default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="run verification suites on an archive")

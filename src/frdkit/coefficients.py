@@ -34,6 +34,12 @@ class BudgetError(ValueError):
     """Realized smoothness norm exceeds the declared construction budget."""
 
 
+def as_matrix(value, md: int) -> np.ndarray:
+    """A float matrix; a number stands for that multiple of the (md, md) identity."""
+    mat = np.asarray(value, dtype=np.float64)
+    return float(mat) * np.eye(md) if mat.ndim == 0 else mat
+
+
 def _spectral_norms(mats: np.ndarray) -> np.ndarray:
     """Spectral norm per site of a stack of symmetric matrices."""
     return np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
@@ -62,9 +68,7 @@ class CoefficientField:
     @staticmethod
     def constant(torus: LatticeTorus, matrix: np.ndarray) -> "CoefficientField":
         md = torus.m * torus.d
-        mat = np.asarray(matrix, dtype=np.float64)
-        if mat.shape == ():
-            mat = float(mat) * np.eye(md)
+        mat = as_matrix(matrix, md)
         if mat.shape != (md, md):
             raise LatticeError(f"constant coefficient must be ({md}, {md})")
         return CoefficientField(torus, np.broadcast_to(mat, (torus.sites, md, md)).copy())
@@ -156,7 +160,7 @@ class TrigMode:
     """One term of a trigonometric profile: sin(2*pi*(freq . theta) + phase) * amplitude."""
 
     frequency: tuple[int, ...]
-    amplitude: np.ndarray  # (md, md) symmetric
+    amplitude: np.ndarray  # (md, md) symmetric, or a number: that multiple of I
     phase: float = 0.0
 
 
@@ -170,7 +174,7 @@ class PerturbationSpec:
     ``0.05 * c0(A0)``, recorded in every report that uses the field.
     """
 
-    base: np.ndarray
+    base: np.ndarray  # (md, md), or a number: that multiple of I
     epsilon: float
     modes: tuple[TrigMode, ...] = ()
     budget: float | None = None
@@ -178,7 +182,8 @@ class PerturbationSpec:
     def resolved_budget(self) -> float:
         if self.budget is not None:
             return float(self.budget)
-        c0 = float(np.linalg.eigvalsh(np.asarray(self.base, dtype=np.float64))[0])
+        # a number a is a·I at every size, whose smallest eigenvalue is a
+        c0 = float(np.linalg.eigvalsh(as_matrix(self.base, 1))[0])
         return 0.05 * c0
 
 
@@ -190,7 +195,7 @@ def _profile_values(torus: LatticeTorus, modes: tuple[TrigMode, ...]) -> np.ndar
         freq = np.asarray(mode.frequency, dtype=np.float64)
         if freq.shape != (torus.d,):
             raise LatticeError(f"mode frequency must have {torus.d} entries")
-        amp = np.asarray(mode.amplitude, dtype=np.float64)
+        amp = as_matrix(mode.amplitude, md)
         if amp.shape != (md, md) or np.abs(amp - amp.T).max() > SYMMETRY_TOL:
             raise NonEllipticError("mode amplitude must be a symmetric (md, md) matrix")
         out += np.sin(2 * np.pi * theta @ freq + mode.phase)[:, None, None] * amp
@@ -200,9 +205,7 @@ def _profile_values(torus: LatticeTorus, modes: tuple[TrigMode, ...]) -> np.ndar
 def make_perturbed(spec: PerturbationSpec, torus: LatticeTorus) -> CoefficientField:
     """Realize a perturbation spec, enforcing ellipticity and the budget."""
     md = torus.m * torus.d
-    base = np.asarray(spec.base, dtype=np.float64)
-    if base.shape == ():
-        base = float(base) * np.eye(md)
+    base = as_matrix(spec.base, md)
     if base.shape != (md, md) or np.abs(base - base.T).max() > SYMMETRY_TOL:
         raise NonEllipticError(f"base map must be a symmetric ({md}, {md}) matrix")
     vals = base[None, :, :] + spec.epsilon * _profile_values(torus, spec.modes)

@@ -77,6 +77,10 @@ class DecompositionPlan:
             raise LatticeError("cube side and range radius counts differ")
         if any(b <= a for a, b in zip(self.cube_sides, self.cube_sides[1:])):
             raise LatticeError(f"cube sides must strictly increase: {self.cube_sides}")
+        if not 0 < self.solver_tol < np.inf:
+            raise LatticeError(f"solver_tol must be finite and positive: {self.solver_tol}")
+        if not all(r >= 0 for r in self.range_radii):
+            raise LatticeError(f"range radii must not be negative: {self.range_radii}")
 
     @property
     def depth(self) -> int:
@@ -184,10 +188,6 @@ class Decomposition:
         levels = self._levels_raw(solved, range(1, self.plan.levels + 1))
         return (levels, report) if with_report else levels
 
-    def apply_all_levels(self, phi: LatticeField) -> list[LatticeField]:
-        return [LatticeField(self.op.torus, v)
-                for v in self.apply_all_levels_raw(phi.values)]
-
     # -- kernel slices ---------------------------------------------------------
 
     def kernel_columns(self, sources, levels=None, with_report: bool = False):
@@ -227,6 +227,20 @@ class Decomposition:
         """Kernel slice of level k at one source site (see ``kernel_columns``)."""
         return self.kernel_columns([x0], (k,))[0]
 
+    @property
+    def sources(self) -> list[int]:
+        """The stored sources in order, or ``[0]`` when none are stored."""
+        return sorted({s for (_, s) in self.kernels}) or [0]
+
+    def kernel(self, k: int, s) -> KernelColumn:
+        """The stored kernel slice of level k at source s, else extracted and stored."""
+        col = self.kernels.get((k, self.op.torus.site(s)))
+        return col if col is not None else self.level_kernel_column(k, s)
+
+    def kernel_sum(self, s) -> np.ndarray:
+        """The Green kernel slice at s, as the sum of the level slices there."""
+        return sum(self.kernel(k, s).values for k in range(1, self.plan.levels + 1))
+
     def far_mask(self, k: int, source: int) -> np.ndarray:
         """Sites at or beyond the claimed range radius of level k (may be empty).
 
@@ -239,9 +253,7 @@ class Decomposition:
 
     def far_field_stats(self, k: int, source: int) -> dict:
         """Far-region mean block (the reported constant), spread, and extremes."""
-        col = self.kernels.get((k, source))
-        if col is None:
-            col = self.level_kernel_column(k, source)
+        col = self.kernel(k, source)
         mask = self.far_mask(k, source)
         vals = col.values
         stats = {
@@ -330,7 +342,7 @@ def save_archive(dec: Decomposition, directory: Path | str) -> Path:
 
 
 #: The manifest.  Keys it does not name are admitted: archives written while
-#: the ``threads`` option existed still carry it.
+#: the ``threads`` option (or ``decompose --seed``) existed still carry it.
 MANIFEST_SCHEMA = {
     "format": ARCHIVE_FORMAT, "torus": {"d": int, "m": int, "L": int, "N": int},
     "plan": PLAN_SCHEMA, "levels": int, "sources": [int], "coefficient_hash": str,

@@ -486,7 +486,7 @@ def kernel_majorant_report(torus: LatticeTorus, x0=0) -> NormReport:
 
 
 # ---------------------------------------------------------------------------
-# cube Dirichlet problems: global estimate, weak interpolation, BMO report
+# cube Dirichlet problems: global estimate, weak interpolation
 
 
 def global_estimate_check(
@@ -548,25 +548,6 @@ def weak_interpolation_check(
         lhs,
         rhs,
         SWEPT_CONSTANTS["weak_interpolation"],
-    )
-
-
-def bmo_gradient_report(op: EllipticOperator, cube: Cube,
-                        fmat: np.ndarray) -> NormReport:
-    """BMO norm of grad u against sup |f| for the cube problem; reported only."""
-    t = op.torus
-    u = CubeProjector(op, cube).dirichlet_solve_raw(divergence_star_raw(t, fmat))
-    mag = site_magnitudes(gradient_stack_raw(t, u)).reshape(t.sites, 1)
-    tmp = LatticeField(LatticeTorus(t.d, 1, t.L, t.N), mag)
-    lhs = bmo_norm(tmp)
-    rhs = float(site_magnitudes(fmat).max())
-    return NormReport(
-        "bmo_gradient",
-        {"d": t.d, "cube": cube.side_length},
-        lhs,
-        rhs,
-        constant=math.inf,
-        asserted=False,
     )
 
 
@@ -678,7 +659,7 @@ def level_decay_report(
         worst = {a: 0.0 for a in alpha_orders}
         for s in sources:
             src = t.site(s)
-            col = dec.kernels.get((k, src)) or dec.level_kernel_column(k, src)
+            col = dec.kernel(k, src)
             stats = dec.far_field_stats(k, src)
             C = np.asarray(stats["constant_block"])
             devi = col.values - C[None, :, :]

@@ -56,7 +56,7 @@ def json_dumps(obj) -> str:
 
 
 #: The Python types that fit each kind of ``check_json`` that is a type, and its name.
-_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"),
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a finite number"),
           str: (str, "a string"), bool: (bool, "a boolean"), object: (object, "a value"),
           list: (list, "a list"), dict: (dict, "an object")}
 #: A matrix: a number (that multiple of the identity) or rows of numbers.
@@ -66,10 +66,11 @@ MATRIX = (float, [[float]])
 def check_json(value, kind, where: str) -> None:
     """Raise ``LatticeError``, naming the value ``where``, unless it is of ``kind``.
 
-    A kind is ``int``, ``float`` (any number, not a bool), ``str``, ``bool``,
-    ``object`` (anything), a string to equal, ``[kind]`` (a list), a tuple
-    (any one of its kinds) or a dict: an object with the keys it names, ``?``
-    marking the optional ones, and the key ``str`` giving the kind of any other.
+    A kind is ``int``, ``float`` (any finite number, not a bool), ``str``,
+    ``bool``, ``object`` (anything), a string to equal, ``[kind]`` (a list), a
+    tuple (any one of its kinds) or a dict: an object with the keys it names,
+    ``?`` marking the optional ones, and the key ``str`` giving the kind of any
+    other.  ``NaN`` and ``Infinity``, which ``json`` parses, are not numbers.
     """
     if isinstance(kind, tuple):
         errors = []
@@ -83,8 +84,9 @@ def check_json(value, kind, where: str) -> None:
         fits, name = value == kind, repr(kind)
     else:
         types, name = _KINDS[kind if isinstance(kind, type) else type(kind)]
-        fits = isinstance(value, types) and (kind in (bool, object)
-                                             or not isinstance(value, bool))
+        fits = (isinstance(value, types)
+                and (kind in (bool, object) or not isinstance(value, bool))
+                and (kind is not float or isinstance(value, int) or np.isfinite(value)))
     if not fits:
         raise LatticeError(f"{where} must be {name}, not {reprlib.repr(value)}")
     if isinstance(kind, list):

@@ -5,8 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from frdkit import cli
+from frdkit import cli, regularity
 from frdkit.cli import main
+from frdkit.decomposition import load_archive
 from frdkit.operators import DEFAULT_TOL, ConvergenceError, EllipticOperator, SolveReport
 from frdkit.sensitivity import PROBE_TOL
 
@@ -74,8 +75,9 @@ def edited(cfg, path, value):
     return cfg
 
 
-#: Malformed config values: each raised an uncaught TypeError, was silently
-#: coerced to another value, or was ignored by ``decompose``.
+#: Malformed config values: each raised an uncaught TypeError or
+#: RuntimeError, was silently coerced to another value, was ignored by
+#: ``decompose``, or ran a solve at a tolerance no solve can meet.
 MALFORMED = [
     ((), 5),
     (("coefficients",), 5),
@@ -102,6 +104,16 @@ MALFORMED = [
     (("probe", "steps"), 5),
     (("probe", "steps"), [None]),
     (("probe", "scan_steps"), 5),
+    (("coefficients", "epsilon"), float("nan")),
+    (("coefficients", "epsilon"), float("inf")),
+    (("coefficients", "budget"), float("nan")),
+    (("coefficients", "A0"), float("-inf")),
+    (("coefficients", "modes", 0, "amplitude"), [[float("nan"), 0], [0, 1]]),
+    (("plan", "solver_tol"), float("nan")),
+    (("plan", "solver_tol"), 0),
+    (("plan", "solver_tol"), -1.0),
+    (("plan", "solver_tol"), float("inf")),
+    (("plan", "range_radii"), [-3, 4.5]),
 ]
 
 
@@ -124,6 +136,22 @@ class TestConfigSchema:
     def test_scalar_A0_accepted(self, tmp_path):
         cfg = write_config(tmp_path, edited(BASE_CONFIG, ("coefficients", "A0"), 1.0))
         assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+
+    @pytest.mark.parametrize("path,value,matrix", [
+        (("coefficients", "A0"), 2, [[2, 0], [0, 2]]),
+        (("coefficients", "modes", 0, "amplitude"), 0.5, [[0.5, 0], [0, 0.5]])])
+    def test_scalar_matrix_builds_the_matrix_field(self, tmp_path, path, value, matrix):
+        # budget omitted: the default budget is read off A0
+        cfg = edited(perturbed_config(), ("coefficients", "epsilon"), 1e-4)
+        del cfg["coefficients"]["budget"]
+        hashes = []
+        for name, entry in (("scalar", value), ("matrix", matrix)):
+            path_cfg = write_config(tmp_path, edited(cfg, path, entry), f"{name}.json")
+            out = tmp_path / name
+            assert main(["decompose", "--config", path_cfg, "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "manifest.json").read_text())
+                          ["coefficient_hash"])
+        assert hashes[0] == hashes[1]
 
 
 class TestDecompose:
@@ -158,6 +186,7 @@ class TestDecompose:
         assert err["error"] == "config" and key in err["message"]
 
     @pytest.mark.parametrize("argv", [["decompose", "--threads", "2"],
+                                      ["decompose", "--seed", "7"],
                                       ["probe", "--seed", "2"],
                                       ["decompose", "--tol", "1e-8"],
                                       ["probe", "--tol", "1e-8"]])
@@ -185,15 +214,13 @@ class TestDecompose:
         assert not out.exists()
 
     def test_deterministic_archives(self, tmp_path):
-        # perturbed d=3 build: identical config and seed give identical bytes
+        # perturbed d=3 build: identical configs give identical bytes
         os.environ["SOURCE_DATE_EPOCH"] = "1700000000"
         try:
             cfg = write_config(tmp_path, perturbed_config(d=3, N=2))
             a, b = tmp_path / "a", tmp_path / "b"
-            assert main(["decompose", "--config", cfg, "--out", str(a),
-                         "--seed", "7"]) == 0
-            assert main(["decompose", "--config", cfg, "--out", str(b),
-                         "--seed", "7"]) == 0
+            assert main(["decompose", "--config", cfg, "--out", str(a)]) == 0
+            assert main(["decompose", "--config", cfg, "--out", str(b)]) == 0
             manifest = json.loads((a / "manifest.json").read_text())
             assert manifest["levels"] == 3
             for name in sorted(p.name for p in a.iterdir()):
@@ -266,6 +293,33 @@ class TestVerify:
         for suite in ("range", "positivity", "reconstruction", "decay"):
             assert main(["verify", str(arch), "--suite", suite,
                          "--out", str(tmp_path / suite)]) == 0
+
+    @pytest.mark.parametrize("suite", ["reconstruction", "all"])
+    def test_rescaled_kernel_value_fails(self, archive, tmp_path, capsys, suite):
+        # one value of one table times 1.01, every hash rewritten to match
+        from frdkit.tableio import read_table, write_table
+        broken = tampered_copy(archive, tmp_path)
+        values, header = read_table(broken / "kernel_L2_S0")
+        values.flat[np.abs(values).argmax()] *= 1.01
+        new = write_table(broken / "kernel_L2_S0", values, header["meta"])
+        edit_manifest(broken, lambda m: m["kernels"]["2:0"].update(sha256=new["sha256"]))
+        out = tmp_path / "r"
+        assert main(["verify", str(broken), "--suite", suite, "--out", str(out)]) == 1
+        assert "FAIL reconstruction" in capsys.readouterr().out
+        assert main(["verify", str(archive), "--suite", "reconstruction",
+                     "--out", str(out)]) == 0
+
+    def test_reconstruction_and_report_read_the_archive(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, perturbed_config(d=3, N=2, sources=(0, 40)))
+        arch = tmp_path / "arch"
+        assert main(["decompose", "--config", cfg, "--out", str(arch)]) == 0
+        tols = spy_solves(monkeypatch)
+        assert main(["verify", str(arch), "--suite", "reconstruction",
+                     "--out", str(tmp_path / "v")]) == 0
+        assert main(["report", str(arch), "--out", str(tmp_path / "r")]) == 0
+        assert not tols
+        rec = json.loads((tmp_path / "v" / "verify_reconstruction.jsonl").read_text())
+        assert rec["params"] == {"sources": 2} and 0.0 < rec["lhs"] <= rec["rhs"]
 
     def test_decay_single_depth_report_only(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -371,6 +425,17 @@ class TestArchiveIntegrity:
         edit_manifest(broken, lambda m: m.update(edited(m, path, value)))
         assert_integrity_exit(broken, capsys)
 
+    @pytest.mark.parametrize("path,value", [(("plan", "solver_tol"), float("nan")),
+                                            (("plan", "solver_tol"), 0.0),
+                                            (("plan", "solver_tol"), -1.0),
+                                            (("plan", "range_radii"), [-3.0, 4.5]),
+                                            (("solver", "residual"), float("inf"))])
+    def test_manifest_value_out_of_range_exits_3(self, archive, tmp_path, capsys,
+                                                 path, value):
+        broken = tampered_copy(archive, tmp_path)
+        edit_manifest(broken, lambda m: m.update(edited(m, path, value)))
+        assert_integrity_exit(broken, capsys)
+
     def test_manifest_extra_key_loads(self, archive, tmp_path):
         # archives written while the threads option existed carry it
         copy = tampered_copy(archive, tmp_path)
@@ -398,14 +463,11 @@ def test_help_exits_zero():
 
 @pytest.mark.parametrize("argv", [["sample", "--count", "-1"],
                                   ["sample", "--count", "4", "--seed", "-1"],
-                                  ["verify", "--suite", "positivity", "--seed", "-2"],
-                                  ["decompose", "--seed", "-3"]])
+                                  ["verify", "--suite", "positivity", "--seed", "-2"]])
 def test_negative_count_or_seed_is_a_usage_error(sample_archive, tmp_path, argv):
-    where = (["--config", write_config(tmp_path, BASE_CONFIG)] if argv[0] == "decompose"
-             else [str(sample_archive)])
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as err:
-        main(argv[:1] + where + argv[1:] + ["--out", str(out)])
+        main(argv[:1] + [str(sample_archive)] + argv[1:] + ["--out", str(out)])
     assert err.value.code == 2 and not out.exists()
 
 
@@ -433,7 +495,8 @@ class TestReport:
 
 
     def test_solver_failure_exits_1(self, tmp_path, monkeypatch, capsys):
-        cfg = write_config(tmp_path, perturbed_config(d=3, N=1))
+        # no stored source: report extracts the kernels at site 0
+        cfg = write_config(tmp_path, perturbed_config(d=3, N=1, sources=()))
         arch = tmp_path / "arch"
         assert main(["decompose", "--config", cfg, "--out", str(arch)]) == 0
 
@@ -442,6 +505,33 @@ class TestReport:
         monkeypatch.setattr(EllipticOperator, "solve_green_raw", diverging)
         assert main(["report", str(arch), "--out", str(tmp_path / "rep")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "solver"
+
+    def test_unconverged_extraction_exits_1(self, tmp_path, capsys):
+        cfg = perturbed_config(d=3, N=1, sources=())
+        cfg["plan"] = {"solver_tol": 1e-30}
+        arch = tmp_path / "arch"
+        assert main(["decompose", "--config", write_config(tmp_path, cfg),
+                     "--out", str(arch)]) == 0
+        out = tmp_path / "rep"
+        assert main(["report", str(arch), "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "solver"
+        assert not out.exists()
+
+    def test_green_decay_from_the_stored_levels(self, tmp_path):
+        cfg = write_config(tmp_path, perturbed_config(d=3, N=2, sources=(13,)))
+        arch = tmp_path / "arch"
+        assert main(["decompose", "--config", cfg, "--out", str(arch)]) == 0
+        out = tmp_path / "rep"
+        assert main(["report", str(arch), "--out", str(out)]) == 0
+        recs = [json.loads(l) for l in (out / "report.jsonl").read_text().splitlines()]
+        green = [r for r in recs if r["check"] == "green_decay"]
+        dec = load_archive(arch)
+        solved = dec.op.green_column(13, dec.plan.solver_tol)
+        assert [r["params"]["j"] for r in green] == [0, 1, 2]
+        for rec in green:
+            expected = regularity.green_decay_check(solved, rec["params"]["j"])
+            assert rec["params"]["source"] == 13
+            assert rec["lhs"] == pytest.approx(expected.lhs, rel=1e-8)
 
 
 class TestSample:

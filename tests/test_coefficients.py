@@ -195,6 +195,18 @@ class TestMakePerturbed:
         spec = single_mode_spec(2, 0.01)
         assert spec.resolved_budget() == pytest.approx(0.05)
 
+    def test_numbers_stand_for_multiples_of_the_identity(self):
+        t = LatticeTorus(2, 1, 3, 2)
+        spec = PerturbationSpec(base=np.float64(2.0), epsilon=1e-4,
+                                modes=(TrigMode((1, 0), np.float64(0.5)),))
+        assert spec.resolved_budget() == pytest.approx(0.1)
+        matrix = PerturbationSpec(base=2.0 * np.eye(2), epsilon=1e-4,
+                                  modes=(TrigMode((1, 0), 0.5 * np.eye(2)),))
+        np.testing.assert_array_equal(make_perturbed(spec, t).values,
+                                      make_perturbed(matrix, t).values)
+        np.testing.assert_array_equal(CoefficientField.constant(t, 3).values,
+                                      CoefficientField.constant(t, 3 * np.eye(2)).values)
+
 
 class TestConfigAndTables:
     def test_config_round_trip(self):

@@ -17,6 +17,7 @@ from frdkit import (
 from frdkit.lattice import distances_from
 from frdkit.operators import mean_projector
 from frdkit.tableio import IntegrityError
+from frdkit.verification import RECONSTRUCTION_RTOL, reconstruction_suite
 from conftest import (identity_operator, perturbed_operator, random_mean_zero,
                       random_operator)
 
@@ -37,6 +38,15 @@ class TestPlan:
     def test_sides_must_increase(self):
         with pytest.raises(LatticeError):
             DecompositionPlan((3, 3), (1.5, 4.5))
+
+    @pytest.mark.parametrize("radii,tol", [((1.5, 4.5), 0.0), ((1.5, 4.5), -1.0),
+                                           ((1.5, 4.5), float("nan")),
+                                           ((1.5, 4.5), float("inf")),
+                                           ((-3.0, 4.5), 1e-10),
+                                           ((1.5, float("nan")), 1e-10)])
+    def test_value_ranges(self, radii, tol):
+        with pytest.raises(LatticeError):
+            DecompositionPlan((1, 3), radii, tol)
 
     def test_side_cap(self):
         t = LatticeTorus(2, 1, 3, 1)
@@ -111,6 +121,7 @@ class TestKernelColumns:
             total += dec_d3_pert.level_kernel_column(k, 0).values
         green = op.green_column(0).values
         assert np.abs(total - green).max() <= 1e-9
+        np.testing.assert_array_equal(dec_d3_pert.kernel_sum(0), total)
 
     def test_translation_invariance_constant_A(self, dec_d3_const):
         t = dec_d3_const.op.torus
@@ -152,6 +163,50 @@ class TestKernelColumns:
             )
             sym = P @ (0.5 * (cols + cols.T)) @ P
             np.testing.assert_allclose(sym, mats[k - 1], atol=5e-9)
+
+
+class TestArchiveReader:
+    def test_kernel_reads_the_stored_slice(self, op_d2_pert, monkeypatch):
+        dec = build_decomposition(op_d2_pert, sources=(4, 30))
+        assert dec.sources == [4, 30]
+        monkeypatch.setattr(type(op_d2_pert), "solve_green_raw", None)
+        assert dec.kernel(2, 30) is dec.kernels[(2, 30)]
+        assert dec.kernel(1, dec.op.torus.coords_of(4)) is dec.kernels[(1, 4)]
+
+    def test_kernel_extracts_and_stores_a_missing_slice(self, op_d2_pert):
+        dec = Decomposition(op_d2_pert, DecompositionPlan.default(op_d2_pert.torus))
+        assert dec.sources == [0]
+        col = dec.kernel(2, 0)
+        assert dec.kernels == {(2, 0): col}
+        assert dec.sources == [0]
+
+
+class TestReconstruction:
+    def test_lhs_follows_the_extraction_error(self):
+        # the summed levels solve the kernel equation only to the solver
+        # tolerance, not to the roundoff of a telescoping sum
+        op = perturbed_operator(3)
+        lhs = []
+        for tol in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+            plan = DecompositionPlan((1, 3), (1.5, 4.5), tol)
+            (rec,) = reconstruction_suite(build_decomposition(op, plan, (0, 100, 400)))
+            assert rec.params == {"sources": 3} and rec.passed
+            assert tol * 1e-3 < rec.lhs <= RECONSTRUCTION_RTOL
+            lhs.append(rec.lhs)
+        assert lhs == sorted(lhs)
+
+    def test_without_stored_sources_extracts_at_site_0(self, op_d2_pert):
+        dec = Decomposition(op_d2_pert, DecompositionPlan.default(op_d2_pert.torus))
+        (rec,) = reconstruction_suite(dec)
+        assert rec.passed and rec.params == {"sources": 1}
+        assert sorted(dec.kernels) == [(1, 0), (2, 0), (3, 0)]
+
+    def test_two_components(self):
+        op = perturbed_operator(2, m=2)
+        dec = build_decomposition(op, sources=(0, 7))
+        (rec,) = reconstruction_suite(dec)
+        assert rec.params == {"sources": 2}
+        assert dec.plan.solver_tol * 1e-3 < rec.lhs <= RECONSTRUCTION_RTOL
 
 
 class TestVectorSystems:

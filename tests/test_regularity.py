@@ -386,10 +386,3 @@ class TestCubeProblems:
         rec = reg.weak_interpolation_check(op_d2_pert, Cube((0, 0), 7), fmat)
         assert rec.passed
 
-    def test_bmo_report_only(self, op_d2_pert):
-        t = op_d2_pert.torus
-        rng = np.random.default_rng(17)
-        fmat = rng.standard_normal((t.sites, 1, 2))
-        rec = reg.bmo_gradient_report(op_d2_pert, Cube((0, 0), 7), fmat)
-        assert not rec.asserted
-        assert rec.lhs >= 0 and rec.rhs > 0
