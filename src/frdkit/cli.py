@@ -113,7 +113,9 @@ def cmd_verify(args) -> int:
     dec = load_archive(args.archive)
     try:
         records = run_suites(dec, args.suite, seed=args.seed)
-    except (LatticeError, ConvergenceError, ValueError) as exc:
+    except ConvergenceError as exc:
+        return _error("solver", str(exc), EXIT_CHECK_FAILED)
+    except (LatticeError, ValueError) as exc:
         return _error("check", str(exc), EXIT_CHECK_FAILED)
     out = Path(args.out or Path(args.archive) / "reports")
     _write_reports(records, out, f"verify_{args.suite}")

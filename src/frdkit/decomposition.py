@@ -1,25 +1,22 @@
 """Multiscale splitting of the Green operator into finite-range levels.
 
-Level k is the difference of two sandwiched smoothing chains,
+Let W_j be the averaged local solves of cube side l_j, F_j = I - W_j A the
+fluctuation and F_j^T its transpose.  With h_0 = u and h_j = F_j^T h_{j-1},
 
-    level_k = chain_{k-1} - chain_k,      last level = chain_n,
+    level k = F_1...F_{k-1} W_k (h_{k-1} + h_k)        (k <= n, ranged),
+    last level = G (F_1^T...F_n^T h_n, mean removed),
 
-where ``chain_j`` composes the fluctuation operators of cubes with increasing
-sides around one Green solve.  The dual factors are never applied directly:
-conjugating the complement through the solve converts every sandwich into a
-palindrome of plain fluctuation applications after a single solve, which
-halves the solver work.
+which on mean-zero u sum to the Green solve G u.  A ranged level involves
+local solves only, so its kernel slice is supported within sup-distance
+2(l_1 + ... + l_k) - 1 of the source and is exactly zero beyond; the last
+level takes the one Green solve.  A whole-torus cube has no local solves:
+its W is the Green solve, which joins the same block solve.
 
-Kernel slices at a fixed source are extracted through the transposed chain
-(local solves first, one Green solve last).  On mean-zero test pairs both
-orientations represent the same symmetric level operator; they differ by a
-source-independent background field, and the transposed orientation is the
-one whose far-field values are constant, which is the normalization the
-range checks measure.
-
-Every application takes an optional trailing batch axis, so many fields, or
-the unit sources of many kernel slices, share one block solve and one pass
-through the chains.
+Fields and kernel slices go through the same evaluator, many at once along
+a trailing batch axis.  Field outputs are mean-projected; kernel slices are
+not, so their sum over the levels is the Green kernel slice plus a constant
+per column (``kernel_sum`` removes it).  No check reads such a constant, so
+archives whose slices all came from a Green solve still load and verify.
 """
 
 from __future__ import annotations
@@ -38,9 +35,11 @@ from .lattice import (
     LatticeTorus,
     column_blocks,
     distances_from,
+    mean_zero_tolerance,
 )
 from .coefficients import export_table, import_table
-from .operators import DEFAULT_TOL, EllipticOperator, KernelColumn
+from .operators import (DEFAULT_TOL, EllipticOperator, KernelColumn, MeanZeroError,
+                        SolveReport)
 from .smoothing import AveragingOperator
 from . import tableio
 
@@ -55,10 +54,10 @@ def default_cube_sides(L: int, N: int) -> tuple[int, ...]:
 
     A fluctuation with cube side l widens a kernel's support by l (l - 1 from
     the local solve, 1 from the stencil), and level k applies two of each
-    side l_1, ..., l_k, so its kernel is constant from sup-distance
+    side l_1, ..., l_k, so its kernel is zero from sup-distance
     R_k = 2(l_1 + ... + l_k) on.  With these sides R_k = 2(L**k - 1)/(L - 1),
     which lies within the claimed range radius ``L**k / 2`` only for L >= 5:
-    for L = 3, level 2 is flat from 8, not from 4.5.
+    for L = 3, level 2 is zero from 8, not from 4.5.
     """
     side = L ** N
     return tuple(min(L ** (k - 1), side) for k in range(1, N + 1))
@@ -136,40 +135,53 @@ class Decomposition:
         if not 1 <= k <= self.plan.levels:
             raise LatticeError(f"level {k} out of range 1..{self.plan.levels}")
 
-    def _chains_raw(self, u: np.ndarray, wanted, transpose: bool = False) -> dict:
-        """Palindromic fluctuation sandwiches ``T_1…T_j T_j…T_1 u`` for j in wanted.
+    def _levels_raw(self, u: np.ndarray, levels) -> tuple[list, SolveReport]:
+        """The given levels of u, unprojected (see the module docstring).
 
-        The forward halves ``F_j = T_j…T_1 u`` are computed once and shared,
-        so chains 0..n cost n(n+3)/2 fluctuation applications instead of
-        n(n+1).  ``transpose`` uses the transposed fluctuations throughout.
-        """
-        name = "fluctuation_transpose_raw" if transpose else "fluctuation_raw"
-        forward = [u]
-        for s in self.smoothers[:max(wanted)]:
-            forward.append(getattr(s, name)(forward[-1]))
-        chains = {}
-        for j in sorted(wanted):
-            v = forward[j]
-            for s in reversed(self.smoothers[:j]):
-                v = getattr(s, name)(v)
-            chains[j] = v
-        return chains
-
-    def _chain_raw(self, j: int, solved: np.ndarray) -> np.ndarray:
-        """Palindromic fluctuation sandwich applied to an already-solved field."""
-        return self._chains_raw(solved, {j})[j]
-
-    def _levels_raw(self, u: np.ndarray, levels, transpose: bool = False) -> list:
-        """Chain differences ``chain_{k-1} - chain_k`` (last level: ``chain_n``)."""
+        The halves h_j are shared.  The last level and a whole-torus W go
+        first, through one block Green solve whose report is returned too;
+        the local solves W_k of the ranged levels and their F follow."""
         n = self.plan.depth
-        wanted = {j for k in levels for j in ((k - 1, k) if k <= n else (n,))}
-        chains = self._chains_raw(u, wanted, transpose)
-        return [chains[k - 1] - chains[k] if k <= n else chains[n] for k in levels]
+        h = [u]
+        for s in self.smoothers[:max(min(k, n) for k in levels)]:
+            h.append(s.fluctuation_transpose_raw(h[-1]))
+        out, rhs = {}, {}
+        for k in levels:
+            if k > n:
+                rhs[k] = h[n]
+                for s in reversed(self.smoothers):
+                    rhs[k] = s.fluctuation_transpose_raw(rhs[k])
+            elif self.smoothers[k - 1].whole_torus:
+                rhs[k] = h[k - 1] + h[k]
+        report = SolveReport(0, 0.0, self.plan.solver_tol)
+        if rhs:
+            block = np.stack(list(rhs.values()), axis=-1).reshape(u.shape[:2] + (-1,))
+            # twice: one pass leaves a column constant to roundoff (a whole-torus
+            # plan's last level of a field) with a sum the solver refuses
+            for _ in range(2):
+                block -= block.mean(axis=0)
+            sol, report = self.op.solve_green_raw(block, self.plan.solver_tol)
+            sol = sol.reshape(u.shape + (len(rhs),))
+            out.update((k, sol[..., i]) for i, k in enumerate(rhs))
+        for k in levels:
+            if k not in out:
+                out[k] = self.smoothers[k - 1].solve_all_translates(h[k - 1] + h[k])
+            for s in reversed(self.smoothers[:k - 1] if k <= n else []):
+                out[k] = s.fluctuation_raw(out[k])
+        return [out[k] for k in levels], report
+
+    def _fields_raw(self, flat: np.ndarray, levels) -> tuple[list, SolveReport]:
+        """Levels of mean-zero fields, mean-projected; other fields raise."""
+        block = flat if flat.ndim == 3 else flat[..., None]
+        if (np.abs(block.sum(axis=0)).max(axis=0) > mean_zero_tolerance(block)).any():
+            raise MeanZeroError(f"fields have component sums {block.sum(axis=0)}")
+        out, report = self._levels_raw(flat, levels)
+        return [v - v.mean(axis=0) for v in out], report
 
     def apply_level_raw(self, k: int, flat: np.ndarray) -> np.ndarray:
+        """One level of a mean-zero field, or of each column of (sites, m, B)."""
         self._check_level(k)
-        solved, _ = self.op.solve_green_raw(flat, self.plan.solver_tol)
-        return self._levels_raw(solved, (k,))[0]
+        return self._fields_raw(flat, (k,))[0][0]
 
     def apply_level(self, k: int, phi: LatticeField) -> LatticeField:
         """One level of the splitting applied to a mean-zero field."""
@@ -178,28 +190,24 @@ class Decomposition:
         return LatticeField(self.op.torus, self.apply_level_raw(k, phi.values))
 
     def apply_all_levels_raw(self, flat: np.ndarray, with_report: bool = False):
-        """All levels from a single Green solve; sums exactly to the solve.
+        """All levels of mean-zero fields, mean-projected; they sum to the solve.
 
-        A (sites, m, B) input is B independent fields: one block solve, and
-        each chain applied once to the whole block.  With ``with_report`` the
-        result is ``(levels, SolveReport)``.
+        A (sites, m, B) input is B independent fields, pushed through the
+        levels as one block with one Green solve, the last level's.  With
+        ``with_report`` the result is ``(levels, SolveReport)``.
         """
-        solved, report = self.op.solve_green_raw(flat, self.plan.solver_tol)
-        levels = self._levels_raw(solved, range(1, self.plan.levels + 1))
-        return (levels, report) if with_report else levels
+        out, report = self._fields_raw(flat, range(1, self.plan.levels + 1))
+        return (out, report) if with_report else out
 
     # -- kernel slices ---------------------------------------------------------
 
     def kernel_columns(self, sources, levels=None, with_report: bool = False):
         """Kernel slices of the given levels (default all) at every source.
 
-        The unit sources of all sources and components form one column
-        block: the transposed chains run once over it, and the level
-        differences ``v_{k-1} - v_k`` of every (level, source, component) go
-        through one block Green solve.  Solving the differences, not the
-        chains, keeps solver error off the small deep levels.  The slices are
-        stored in ``kernels`` and returned level-major; with ``with_report``
-        the result is ``(slices, SolveReport)``.
+        The unit sources of all sources and components go through the levels
+        as one block, so the last level takes one block Green solve.  The
+        slices are stored in ``kernels`` and returned level-major; with
+        ``with_report`` the result is ``(slices, SolveReport)``.
         """
         t = self.op.torus
         levels = tuple(range(1, self.plan.levels + 1)) if levels is None else tuple(levels)
@@ -207,12 +215,9 @@ class Decomposition:
             self._check_level(k)
         srcs = [t.site(x) for x in sources]
         delta = np.zeros((t.sites, t.m, len(srcs), t.m))
-        for i, s in enumerate(srcs):
-            delta[s, :, i, :] = np.eye(t.m)
-        vs = self._levels_raw(delta.reshape(t.sites, t.m, -1), levels, transpose=True)
-        rhs = np.stack(vs, axis=2).reshape(t.sites, t.m, -1)
-        sol, report = self.op.solve_green_raw(rhs - rhs.mean(axis=0), self.plan.solver_tol)
-        sol = sol.reshape(t.sites, t.m, len(levels), len(srcs), t.m)
+        delta[srcs, :, np.arange(len(srcs)), :] = np.eye(t.m)
+        vs, report = self._levels_raw(delta.reshape(t.sites, t.m, -1), levels)
+        sol = np.stack(vs, axis=2).reshape(t.sites, t.m, len(levels), len(srcs), t.m)
         tag = self.op.coefficients.content_hash()[:12]
         out = []
         for ki, k in enumerate(levels):
@@ -233,13 +238,18 @@ class Decomposition:
         return sorted({s for (_, s) in self.kernels}) or [0]
 
     def kernel(self, k: int, s) -> KernelColumn:
-        """The stored kernel slice of level k at source s, else extracted and stored."""
-        col = self.kernels.get((k, self.op.torus.site(s)))
-        return col if col is not None else self.level_kernel_column(k, s)
+        """The stored kernel slice of level k at source s; a source without
+        one has the slices of every level extracted and stored at once."""
+        key = (k, self.op.torus.site(s))
+        if key not in self.kernels:
+            self.kernel_columns([s])
+        return self.kernels[key]
 
     def kernel_sum(self, s) -> np.ndarray:
-        """The Green kernel slice at s, as the sum of the level slices there."""
-        return sum(self.kernel(k, s).values for k in range(1, self.plan.levels + 1))
+        """The mean-zero Green kernel slice at s: the level slices there, summed,
+        with each column's mean removed."""
+        total = sum(self.kernel(k, s).values for k in range(1, self.plan.levels + 1))
+        return total - total.mean(axis=0)
 
     def far_mask(self, k: int, source: int) -> np.ndarray:
         """Sites at or beyond the claimed range radius of level k (may be empty).
@@ -252,27 +262,20 @@ class Decomposition:
         return distances_from(t, t.coords_of(source)) >= radius
 
     def far_field_stats(self, k: int, source: int) -> dict:
-        """Far-region mean block (the reported constant), spread, and extremes."""
-        col = self.kernel(k, source)
+        """Far-region mean block (the reported constant), spread, and extremes;
+        all zero when the far region is empty."""
+        vals = self.kernel(k, source).values
         mask = self.far_mask(k, source)
-        vals = col.values
-        stats = {
+        far = vals[mask] if mask.any() else np.zeros((1,) + vals.shape[1:])
+        return {
             "level": k,
             "source": source,
             "far_sites": int(mask.sum()),
             "max_abs": float(np.abs(vals).max()),
+            "constant_block": far.mean(axis=0).tolist(),
+            "far_std": float(far.std(axis=0).max()),
+            "far_spread": float((far.max(axis=0) - far.min(axis=0)).max()),
         }
-        if mask.any():
-            far = vals[mask]
-            stats["constant_block"] = far.mean(axis=0).tolist()
-            stats["far_std"] = float(far.std(axis=0).max())
-            stats["far_spread"] = float((far.max(axis=0) - far.min(axis=0)).max())
-        else:
-            stats["constant_block"] = np.zeros((vals.shape[1], vals.shape[2])).tolist()
-            stats["far_std"] = 0.0
-            stats["far_spread"] = 0.0
-        return stats
-
 
 def build_decomposition(
     op: EllipticOperator,

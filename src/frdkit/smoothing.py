@@ -187,11 +187,11 @@ def project_cube(op: EllipticOperator, cube: Cube, phi: LatticeField) -> Lattice
 class AveragingOperator:
     """Average of cube projections over all torus translates of one cube side.
 
-    ``smooth`` is the averaged projection, ``fluctuation`` its complement,
-    and ``fluctuation_dual`` the conjugation by the elliptic operator (one
-    Green solve, then the complement, then the operator).  The transposed
-    variants drive the kernel-slice extraction and share the same local
-    solves.
+    ``smooth`` is the averaged projection W A, with W
+    (``solve_all_translates``) the averaged local solves, and
+    ``fluctuation`` its complement.  The transposed variants, A W and
+    I - A W, share the same local solves; on mean-zero fields I - A W is
+    also the complement conjugated by the operator, A (I - W A) G.
 
     In the energy form the average is positive but on a lattice it is not a
     contraction: cubes that only overlap the one-site stencil ring of a bump
@@ -318,9 +318,11 @@ class AveragingOperator:
             near = np.logical_or.reduce([np.roll(near, s, axis=j) for s in range(1 - l, l)])
         return np.where(t.to_flat(near)[:, None], out, 0.0)
 
-    def _solve_all_translates(self, flat: np.ndarray) -> np.ndarray:
-        """Gather `flat` on every translate, solve locally, scatter-average.
+    def solve_all_translates(self, flat: np.ndarray) -> np.ndarray:
+        """W: gather `flat` on every translate, solve locally, scatter-average.
 
+        W is symmetric, and maps a field supported in a set into its
+        (side_length - 1)-neighbourhood; the whole-torus cube has no W.
         A symbol smoother convolves instead (``_convolve``).
         Offset p of every translate reads window p of the field padded
         periodically by ``side_length - 1`` sites per axis, and its local
@@ -385,7 +387,7 @@ class AveragingOperator:
         """Averaged projection of a (sites, m) field or of each column of (sites, m, B)."""
         if self.whole_torus:
             return _whole_torus_project_raw(flat)
-        return self._solve_all_translates(self.op.apply_raw(flat))
+        return self.solve_all_translates(self.op.apply_raw(flat))
 
     def fluctuation_raw(self, flat: np.ndarray) -> np.ndarray:
         return flat - self.smooth_raw(flat)
@@ -394,7 +396,7 @@ class AveragingOperator:
         """l2 transpose of ``smooth``: local solves first, operator last."""
         if self.whole_torus:
             return _whole_torus_project_raw(flat)
-        return self.op.apply_raw(self._solve_all_translates(flat))
+        return self.op.apply_raw(self.solve_all_translates(flat))
 
     def fluctuation_transpose_raw(self, flat: np.ndarray) -> np.ndarray:
         return flat - self.smooth_transpose_raw(flat)
@@ -414,11 +416,3 @@ class AveragingOperator:
         """The part of the field not determined by local cube projections."""
         self._check(phi)
         return LatticeField(self.op.torus, self.fluctuation_raw(phi.values))
-
-    def fluctuation_dual(self, phi: LatticeField) -> LatticeField:
-        """Conjugated complement: solve, take the fluctuation, re-apply."""
-        self._check(phi)
-        u, _ = self.op.solve_green_raw(phi.values)
-        return LatticeField(
-            self.op.torus, self.op.apply_raw(self.fluctuation_raw(u)), True
-        )

@@ -131,8 +131,8 @@ def dense_level_matrices(dec: Decomposition, with_report: bool = False):
     """Dense symmetric level operators on the mean-zero subspace.
 
     Built by applying every level to the projected basis, in column blocks;
-    the mean-projected symmetrization removes the constant-field dressing
-    that the kernel slices carry, which is irrelevant on mean-zero fields.
+    the outputs are mean-projected already, and the symmetrization removes
+    the asymmetry left by roundoff and by the last level's Green solve.
     With ``with_report`` the solver counters come back too.
     """
     t = dec.op.torus

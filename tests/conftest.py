@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from frdkit import (
     CoefficientField,
@@ -11,6 +12,12 @@ from frdkit import (
     build_decomposition,
     make_perturbed,
 )
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite's outcome does not depend on earlier runs; each
+# test keeps its own max_examples.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def perturbed_operator(d: int, L: int = 3, N: int = 2, eps: float = 0.05,

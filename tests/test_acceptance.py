@@ -8,11 +8,13 @@ documented frozen-constant corpus, which asserts zero failures.
 import json
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from frdkit import Cube, LatticeField, build_decomposition, dense_green
+from frdkit import (Cube, DecompositionPlan, LatticeField, build_decomposition,
+                    dense_green)
 from frdkit.cli import main as cli_main
 from frdkit.lattice import distances_from
 from frdkit.operators import mean_projector
@@ -260,7 +262,8 @@ class TestCriteria:
                    identity_operator(3, L=3, N=2)):
             t = op.torus
             n = t.sites * t.m
-            dec = build_decomposition(op)
+            dec = build_decomposition(
+                op, replace(DecompositionPlan.default(t), solver_tol=1e-12))
             G = dense_green(op)
             P = mean_projector(t)
             phi = rng.standard_normal((t.sites, t.m))
@@ -282,29 +285,28 @@ class TestCriteria:
             rel = (np.linalg.norm(proj.project_raw(phi).reshape(n) - dense_p)
                    / max(np.linalg.norm(dense_p), 1e-30))
             worst = max(worst, rel)
-            dense_T = []
-            for sm in dec.smoothers:
-                T = np.zeros((n, n))
-                for col in range(n):
-                    e = np.zeros((t.sites, t.m))
-                    e[col // t.m, col % t.m] = 1.0
-                    T[:, col] = sm.smooth_raw(e).reshape(n)
-                dense_T.append(T)
+            # averaged local solves W against smooth = W A, and every level
+            # against its dense form: R (2W - W A W) R^T when ranged, with
+            # R = (I - W_1 A)...(I - W_{k-1} A), and R G R^T for the last
+            basis = np.eye(n).reshape(t.sites, t.m, n)
+            R = np.eye(n)
+            for k, sm in enumerate(dec.smoothers, start=1):
+                W = sm.solve_all_translates(basis).reshape(n, n)
                 out = sm.smooth_raw(phi).reshape(n)
-                rel = (np.linalg.norm(out - T @ v)
-                       / max(np.linalg.norm(T @ v), 1e-30))
+                rel = (np.linalg.norm(out - W @ Ad @ v)
+                       / max(np.linalg.norm(W @ Ad @ v), 1e-30))
                 worst = max(worst, rel)
-            # sandwiched chains against dense operator products
-            for j in range(1, len(dec.smoothers) + 1):
-                dense_R = np.eye(n)
-                for jj in list(range(j)) + list(range(j - 1, -1, -1)):
-                    dense_R = (np.eye(n) - dense_T[jj]) @ dense_R
-                chain_free, _ = op.solve_green_raw(phi, 1e-12)
-                chain_free = dec._chain_raw(j, chain_free)
-                dense_out = dense_R @ (G @ v)
-                rel = (np.linalg.norm(chain_free.reshape(n) - dense_out)
+                dense_out = P @ R @ (2 * W - W @ Ad @ W) @ R.T @ v
+                level = dec.apply_level_raw(k, phi).reshape(n)
+                rel = (np.linalg.norm(level - dense_out)
                        / max(np.linalg.norm(dense_out), 1e-30))
                 worst = max(worst, rel)
+                R = R @ (np.eye(n) - W @ Ad)
+            dense_out = P @ R @ G @ R.T @ v
+            level = dec.apply_level_raw(dec.plan.levels, phi).reshape(n)
+            rel = (np.linalg.norm(level - dense_out)
+                   / max(np.linalg.norm(dense_out), 1e-30))
+            worst = max(worst, rel)
             cases.append(f"{t.d}d/side{t.side}")
         ok = worst <= 1e-9
         verdict(9, ok, f"matrix-free vs dense oracle on {cases}: worst rel "

@@ -34,15 +34,24 @@ def mean_zero_block(t, count, seed):
     return block - block.mean(axis=0)
 
 
-def naive_level(dec, k, u, transpose=False):
-    """Level k rebuilt from unshared palindromes, one fluctuation at a time."""
-    def chain(j):
-        v = u
-        for s in dec.smoothers[:j] + dec.smoothers[:j][::-1]:
-            v = s.fluctuation_transpose_raw(v) if transpose else s.fluctuation_raw(v)
-        return v
+def naive_level(dec, k, u):
+    """Level k rebuilt one operator at a time, with no shared halves and
+    no mean projection: F_1...F_{k-1} W_k (I + F_k^T) F_{k-1}^T...F_1^T u
+    when ranged, else the Green solve of F_1^T...F_n^T F_n^T...F_1^T u."""
     n = dec.plan.depth
-    return chain(k - 1) - chain(k) if k <= n else chain(n)
+    if k > n:
+        v = u
+        for s in dec.smoothers + dec.smoothers[::-1]:
+            v = s.fluctuation_transpose_raw(v)
+        return dec.op.solve_green_raw(v - v.mean(axis=0))[0]
+    v = u
+    for s in dec.smoothers[:k - 1]:
+        v = s.fluctuation_transpose_raw(v)
+    v = dec.smoothers[k - 1].solve_all_translates(
+        v + dec.smoothers[k - 1].fluctuation_transpose_raw(v))
+    for s in dec.smoothers[:k - 1][::-1]:
+        v = s.fluctuation_raw(v)
+    return v
 
 
 # (d, m, coefficients): "constant" has one class, "cached" one mode along
@@ -100,10 +109,10 @@ class TestBatchedEqualsColumns:
         block = mean_zero_block(dec.op.torus, 3, 4)
         levels = dec.apply_all_levels_raw(block)
         cols = [dec.apply_all_levels_raw(block[..., b]) for b in range(3)]
-        solved = [dec.op.solve_green_raw(block[..., b])[0] for b in range(3)]
         for k, level in enumerate(levels, start=1):
             assert close(level, [c[k - 1] for c in cols])
-            assert close(level, [naive_level(dec, k, u) for u in solved])
+            naive = [naive_level(dec, k, block[..., b]) for b in range(3)]
+            assert close(level, [v - v.mean(axis=0) for v in naive])
 
     def test_kernel_extraction(self, dec):
         t = dec.op.torus
@@ -118,9 +127,7 @@ class TestBatchedEqualsColumns:
             for a in range(t.m):
                 delta = np.zeros((t.sites, t.m))
                 delta[s, a] = 1.0
-                v = naive_level(dec, k, delta, transpose=True)
-                ref, _ = dec.op.solve_green_raw(v - v.mean(axis=0))
-                assert agree(col.values[:, :, a], ref)
+                assert agree(col.values[:, :, a], naive_level(dec, k, delta))
 
 
 @pytest.mark.parametrize("one_by_one", [False, True])
@@ -146,37 +153,58 @@ def test_columns_converging_apart_and_zero_column(monkeypatch, one_by_one):
 
 
 class CountingSmoothers:
-    """Counts fluctuation applications and Green solves on one decomposition."""
+    """Counts fluctuation applications, applications of W (the averaged
+    local solves, one inside every fluctuation) and the columns of each
+    Green solve on one decomposition."""
 
     def __init__(self, monkeypatch, dec):
-        self.fluct = 0
-        self.solves = 0
-        for name in ("fluctuation_raw", "fluctuation_transpose_raw"):
+        self.reset()
+        for name, counter in (("fluctuation_raw", "fluct"),
+                              ("fluctuation_transpose_raw", "fluct"),
+                              ("solve_all_translates", "local")):
             original = getattr(AveragingOperator, name)
 
-            def counted(s, flat, _orig=original):
-                self.fluct += 1
+            def counted(s, flat, _orig=original, _counter=counter):
+                setattr(self, _counter, getattr(self, _counter) + 1)
                 return _orig(s, flat)
             monkeypatch.setattr(AveragingOperator, name, counted)
         solve = type(dec.op).solve_green_raw
 
-        def counted_solve(op, *args, **kwargs):
-            self.solves += 1
-            return solve(op, *args, **kwargs)
+        def counted_solve(op, f, *args, **kwargs):
+            self.solves.append(f.shape[2] if f.ndim == 3 else 1)
+            return solve(op, f, *args, **kwargs)
         monkeypatch.setattr(type(dec.op), "solve_green_raw", counted_solve)
 
+    def reset(self):
+        self.fluct, self.local, self.solves = 0, 0, []
 
+    def counts(self):
+        return self.fluct, self.local, self.solves
+
+
+@pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("sides,expected", [((1, 3), 5), ((1, 2, 3), 9)])
-def test_single_pass_counts(monkeypatch, sides, expected):
-    op = perturbed_operator(2)
+def test_single_pass_counts(monkeypatch, sides, expected, m):
+    op = perturbed_operator(2, m=m)
+    n = len(sides)
     dec = Decomposition(op, DecompositionPlan(sides, tuple(float(s) for s in sides)))
     counter = CountingSmoothers(monkeypatch, dec)
-    dec.apply_all_levels_raw(mean_zero_block(op.torus, 6, 7))
-    assert (counter.fluct, counter.solves) == (expected, 1)
-    counter.fluct = counter.solves = 0
+    block = mean_zero_block(op.torus, 6, 7)
+    # W once in every fluctuation and once more per ranged level; one solve
+    dec.apply_all_levels_raw(block)
+    assert counter.counts() == (expected, expected + n, [6])
+    counter.reset()
     dec.kernel_columns([0, 5, 17])
-    assert (counter.fluct, counter.solves) == (expected, 1)
-    assert len(dec.kernels) == 3 * (len(sides) + 1)
+    assert counter.counts() == (expected, expected + n, [3 * m])
+    assert len(dec.kernels) == 3 * (n + 1)
+    # a ranged level takes k - 1 fluctuations each way and no solve
+    for k in range(1, n + 1):
+        counter.reset()
+        dec.apply_level_raw(k, block)
+        assert counter.counts() == (2 * k - 1, 2 * k, [])
+    counter.reset()
+    dec.apply_level_raw(n + 1, block)
+    assert counter.counts() == (2 * n, 2 * n, [6])
 
 
 def test_suites_report_solver_counters(dec_d2_pert):

@@ -7,7 +7,7 @@ import pytest
 
 from frdkit import cli, regularity
 from frdkit.cli import main
-from frdkit.decomposition import load_archive
+from frdkit.decomposition import Decomposition, load_archive
 from frdkit.operators import DEFAULT_TOL, ConvergenceError, EllipticOperator, SolveReport
 from frdkit.sensitivity import PROBE_TOL
 
@@ -294,6 +294,19 @@ class TestVerify:
             assert main(["verify", str(arch), "--suite", suite,
                          "--out", str(tmp_path / suite)]) == 0
 
+    def test_unconverged_extraction_exits_1(self, tmp_path, capsys):
+        # no stored source: reconstruction extracts site 0 and its solve fails
+        cfg = perturbed_config(d=3, N=1, sources=())
+        cfg["plan"] = {"solver_tol": 1e-30}
+        arch = tmp_path / "arch"
+        assert main(["decompose", "--config", write_config(tmp_path, cfg),
+                     "--out", str(arch)]) == 0
+        out = tmp_path / "out"
+        assert main(["verify", str(arch), "--suite", "reconstruction",
+                     "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "solver"
+        assert not out.exists()
+
     @pytest.mark.parametrize("suite", ["reconstruction", "all"])
     def test_rescaled_kernel_value_fails(self, archive, tmp_path, capsys, suite):
         # one value of one table times 1.01, every hash rewritten to match
@@ -516,6 +529,26 @@ class TestReport:
         assert main(["report", str(arch), "--out", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "solver"
         assert not out.exists()
+
+    def test_missing_source_takes_one_pass_and_one_solve(self, tmp_path, monkeypatch):
+        # every level of site 0 is extracted at once, not one level at a time
+        cfg = write_config(tmp_path, perturbed_config(d=3, N=1, sources=()))
+        arch = tmp_path / "arch"
+        assert main(["decompose", "--config", cfg, "--out", str(arch)]) == 0
+        calls = {"passes": 0, "solves": []}
+        passes, solve = Decomposition._levels_raw, EllipticOperator.solve_green_raw
+
+        def counted_pass(self, *args, **kwargs):
+            calls["passes"] += 1
+            return passes(self, *args, **kwargs)
+
+        def counted_solve(self, f, *args, **kwargs):
+            calls["solves"].append(f.shape)
+            return solve(self, f, *args, **kwargs)
+        monkeypatch.setattr(Decomposition, "_levels_raw", counted_pass)
+        monkeypatch.setattr(EllipticOperator, "solve_green_raw", counted_solve)
+        assert main(["report", str(arch), "--out", str(tmp_path / "rep")]) == 0
+        assert calls == {"passes": 1, "solves": [(27, 1, 1)]}
 
     def test_green_decay_from_the_stored_levels(self, tmp_path):
         cfg = write_config(tmp_path, perturbed_config(d=3, N=2, sources=(13,)))

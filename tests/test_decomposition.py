@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from frdkit import (
     save_archive,
 )
 from frdkit.lattice import distances_from
-from frdkit.operators import mean_projector
+from frdkit.operators import MeanZeroError, mean_projector
 from frdkit.tableio import IntegrityError
 from frdkit.verification import RECONSTRUCTION_RTOL, reconstruction_suite
 from conftest import (identity_operator, perturbed_operator, random_mean_zero,
@@ -55,10 +56,14 @@ class TestPlan:
 
 
 class TestLevels:
-    def test_levels_sum_to_green_solve(self, dec_d3_pert):
-        phi = random_mean_zero(dec_d3_pert.op, 31)
-        total = sum(dec_d3_pert.apply_all_levels_raw(phi.values))
-        ref, _ = dec_d3_pert.op.solve_green_raw(phi.values)
+    def test_levels_sum_to_green_solve(self, op_d3_pert):
+        # the ranged levels take no solve, so the sum meets an independent
+        # solve only to the accuracy of both solves: build at 1e-12
+        plan = replace(DecompositionPlan.default(op_d3_pert.torus), solver_tol=1e-12)
+        dec = Decomposition(op_d3_pert, plan)
+        phi = random_mean_zero(op_d3_pert, 31)
+        total = sum(dec.apply_all_levels_raw(phi.values))
+        ref, _ = op_d3_pert.solve_green_raw(phi.values, 1e-12)
         assert np.linalg.norm(total - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_apply_level_matches_apply_all(self, dec_d3_pert):
@@ -68,6 +73,15 @@ class TestLevels:
             single = dec_d3_pert.apply_level_raw(k, phi.values)
             np.testing.assert_allclose(single, alls[k - 1],
                                        atol=1e-11 * phi.norm())
+
+    def test_field_with_a_mean_is_refused(self, dec_d3_pert):
+        # the ranged levels make no solve, so they check their input
+        phi = random_mean_zero(dec_d3_pert.op, 37).values + 1e-3
+        for k in (1, 3):
+            with pytest.raises(MeanZeroError):
+                dec_d3_pert.apply_level_raw(k, phi)
+        with pytest.raises(MeanZeroError):
+            dec_d3_pert.apply_all_levels_raw(np.stack([phi, phi], axis=-1))
 
     def test_level_out_of_range(self, dec_d3_pert):
         phi = random_mean_zero(dec_d3_pert.op, 33)
@@ -113,12 +127,58 @@ class TestLevels:
                 assert q >= -1e-10
 
 
+FIELDS = {"constant": identity_operator, "mode": perturbed_operator,
+          "random": random_operator}
+# (d, L, N, cube sides): plan (1, 3) where the torus is cheap, and (1, 3, 9)
+# at d = 2, side 27, where level 2's support ends inside the torus
+RANGE_CASES = [(1, 3, 3, (1, 3)), (2, 3, 2, (1, 3)), (3, 3, 2, (1, 3)),
+               (2, 3, 3, (1, 3, 9))]
+
+
+class TestFiniteRange:
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("d,L,N,sides", RANGE_CASES,
+                             ids=lambda c: str(c).replace(" ", ""))
+    def test_ranged_kernels_vanish_from_their_radius(self, d, L, N, sides, m, field):
+        # level k's kernel is exactly zero from sup-distance
+        # R_k = 2(l_1 + ... + l_k) on, and nonzero at R_k - 1 when the
+        # torus reaches that far
+        op = FIELDS[field](d, L=L, N=N, m=m)
+        t = op.torus
+        dec = Decomposition(op, DecompositionPlan(sides, tuple(map(float, sides))))
+        source = t.sites // 2 + 1
+        dist = distances_from(t, t.coords_of(source))
+        cols = dec.kernel_columns([source], range(1, len(sides) + 1))
+        for k, col in enumerate(cols, start=1):
+            reach = 2 * sum(sides[:k])
+            assert np.all(col.values[dist >= reach] == 0.0)
+            if reach - 1 <= dist.max():
+                assert np.abs(col.values[dist == reach - 1]).max() > 0.0
+
+    @pytest.mark.parametrize("field", sorted(FIELDS))
+    def test_ranged_level_matrix_is_symmetric(self, field):
+        # R (2W - W A W) R^T is symmetric on all fields, not only mean-zero ones
+        op = FIELDS[field](2, m=2)
+        t = op.torus
+        dec = Decomposition(op, DecompositionPlan((1, 3), (1.5, 4.5)))
+        n = t.sites * t.m
+        for k in (1, 2):
+            cols = dec.kernel_columns(range(t.sites), (k,))
+            # row (y, a), column (x, b) holds K_k(y, x)[a, b]
+            M = np.stack([c.values for c in cols], axis=2).reshape(n, n)
+            assert np.abs(M - M.T).max() <= 1e-13 * np.abs(M).max()
+
+
 class TestKernelColumns:
     def test_sum_over_levels_is_green_column(self, dec_d3_pert):
         op = dec_d3_pert.op
         total = np.zeros_like(dec_d3_pert.level_kernel_column(1, 0).values)
         for k in (1, 2, 3):
             total += dec_d3_pert.level_kernel_column(k, 0).values
+        # the ranged slices are not mean-zero: the sum is the Green slice
+        # plus a constant per column, which kernel_sum removes
+        total -= total.mean(axis=0)
         green = op.green_column(0).values
         assert np.abs(total - green).max() <= 1e-9
         np.testing.assert_array_equal(dec_d3_pert.kernel_sum(0), total)
@@ -177,7 +237,8 @@ class TestArchiveReader:
         dec = Decomposition(op_d2_pert, DecompositionPlan.default(op_d2_pert.torus))
         assert dec.sources == [0]
         col = dec.kernel(2, 0)
-        assert dec.kernels == {(2, 0): col}
+        assert sorted(dec.kernels) == [(1, 0), (2, 0), (3, 0)]
+        assert dec.kernels[(2, 0)] is col
         assert dec.sources == [0]
 
 
